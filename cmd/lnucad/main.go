@@ -19,10 +19,11 @@
 // -cache is set (in-memory otherwise).
 //
 // Distributed execution: -fleet turns the daemon into a fleet
-// coordinator — jobs are dispatched over the /fleet/v1 lease protocol to
-// pull-based workers instead of simulated in-process, while every API,
-// cache and content-key behaviour stays identical. A worker is the same
-// binary in -worker mode:
+// coordinator — the job queue is served over the /fleet/v1 lease
+// protocol to pull-based workers, which are then the only executors
+// (nothing simulates in-process, and -workers bounds nothing), while
+// every API, cache and content-key behaviour stays identical. A worker
+// is the same binary in -worker mode:
 //
 //	lnucad -fleet -addr :8347 -cache /var/lib/lnuca/results   # coordinator
 //	lnucad -worker -coordinator http://coord:8347             # each worker
@@ -52,8 +53,8 @@
 // contention sampling for that listener's mutex/block profiles.
 //
 // Distributed tracing is always on in daemon mode: every job grows a
-// span tree (client submit → orchestrator queue/run → fleet dispatch →
-// worker execution → simulation phases) held in a bounded in-memory
+// span tree (client submit → orchestrator queue/run → worker execution
+// → simulation phases) held in a bounded in-memory
 // flight recorder. GET /v1/traces/{jobid}/spans returns one job's tree
 // with its correlated lease/fault events, GET /debug/tracez renders an
 // HTML summary, GET /v1/sweeps/{id}/progress aggregates a sweep
@@ -85,7 +86,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8347", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulation workers (fleet mode: concurrent dispatches)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent in-process simulation workers (ignored with -fleet: the fleet's workers are the only executors)")
 	cacheDir := flag.String("cache", "", "result cache directory (empty = in-memory only)")
 	cacheCap := flag.Int("cache-entries", 4096, "in-memory result cache capacity")
 	traceDir := flag.String("traces", "", "trace store directory (default: <cache>/traces when -cache is set, else in-memory)")
@@ -93,7 +94,7 @@ func main() {
 	queueCap := flag.Int("queue-cap", 0, "bound on queued jobs; past it submissions get 429 + Retry-After (0 = unbounded)")
 	submitRPS := flag.Float64("submit-rps", 0, "per-client submit rate limit, requests/second (0 = unlimited)")
 	submitBurst := flag.Int("submit-burst", 8, "per-client submit burst on top of -submit-rps")
-	fleetMode := flag.Bool("fleet", false, "coordinate a worker fleet: dispatch jobs over /fleet/v1 instead of simulating in-process")
+	fleetMode := flag.Bool("fleet", false, "coordinate a worker fleet: serve the job queue to pull workers over /fleet/v1 instead of simulating in-process")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet mode: how long a silent worker holds a lease before its job is requeued")
 	maxAttempts := flag.Int("max-attempts", 3, "fleet mode: lease attempts per job before it fails terminally")
 	workerMode := flag.Bool("worker", false, "run as a fleet worker: pull jobs from -coordinator instead of serving the API")
@@ -215,10 +216,12 @@ func main() {
 		Tracer:   tracer,
 		Flight:   flight,
 	}
+	var orch *orchestrator.Orchestrator
 	var coord *fleet.Coordinator
 	routeLabel := orchestrator.RouteLabel
 	if *fleetMode {
-		coord = fleet.NewCoordinator(fleet.Config{
+		orch = orchestrator.NewQueue(ocfg)
+		coord = fleet.NewCoordinator(orch, fleet.Config{
 			LeaseTTL:    *leaseTTL,
 			MaxAttempts: *maxAttempts,
 			Traces:      traces,
@@ -227,10 +230,10 @@ func main() {
 			Events:      flight,
 			Spans:       tracer.Recorder(),
 		})
-		ocfg.Run = coord.Dispatch
 		routeLabel = fleet.RouteLabel
+	} else {
+		orch = orchestrator.New(ocfg)
 	}
-	orch := orchestrator.New(ocfg)
 
 	// A restarted daemon owes its clients the queue it died with:
 	// resubmit every journaled job that never reached a terminal state.
@@ -319,9 +322,9 @@ func main() {
 	if debug != nil {
 		_ = debug.Shutdown(ctx)
 	}
-	// Orchestrator first — its shutdown unwinds every blocked fleet
-	// dispatch — then the coordinator's reaper, then the journal (whose
-	// still-pending entries are exactly what the next start replays).
+	// Orchestrator first — its shutdown cancels every leased job — then
+	// the coordinator's reaper, then the journal (whose still-pending
+	// entries are exactly what the next start replays).
 	orch.Close()
 	if coord != nil {
 		coord.Close()

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,12 +14,18 @@ import (
 var benchmarks = []string{"403.gcc", "434.zeusmp", "482.sphinx3"}
 
 func main() {
+	ctx := context.Background()
+	runner := &lightnuca.Local{}
 	for _, b := range benchmarks {
-		base, err := lightnuca.Run(lightnuca.DNUCA, b, lightnuca.Options{Seed: 1})
+		base, err := runner.Run(ctx, lightnuca.Request{
+			Hierarchy: lightnuca.HierarchyName(lightnuca.DNUCA), Benchmark: b, Seed: 1,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		front, err := lightnuca.Run(lightnuca.LNUCAPlusDNUCA, b, lightnuca.Options{Levels: 2, Seed: 1})
+		front, err := runner.Run(ctx, lightnuca.Request{
+			Hierarchy: lightnuca.HierarchyName(lightnuca.LNUCAPlusDNUCA), Levels: 2, Benchmark: b, Seed: 1,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,11 +30,15 @@ func main() {
 		{"LN4-248KB", lightnuca.LNUCAPlusL3, 4},
 	}
 
+	ctx := context.Background()
+	runner := &lightnuca.Local{}
 	results := map[string]map[string]cell{}
 	for _, b := range benchmarks {
 		results[b] = map[string]cell{}
 		for _, c := range configs {
-			res, err := lightnuca.Run(c.h, b, lightnuca.Options{Levels: c.levels, Seed: 1})
+			res, err := runner.Run(ctx, lightnuca.Request{
+				Hierarchy: lightnuca.HierarchyName(c.h), Levels: c.levels, Benchmark: b, Seed: 1,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -190,20 +190,18 @@ func runChaosSchedule(t *testing.T, seed int64) {
 
 	var executions atomic.Uint64
 	reg := obs.NewRegistry()
-	coord := NewCoordinator(Config{
+	cache := orchestrator.NewCache(0, fleetDir)
+	cache.SetFaults(in)
+	orch := orchestrator.NewQueue(orchestrator.Config{
+		Cache:   cache,
+		Journal: journal,
+	})
+	coord := NewCoordinator(orch, Config{
 		LeaseTTL:       120 * time.Millisecond,
 		MaxAttempts:    10,
 		RetryBaseDelay: 2 * time.Millisecond,
 		RetryMaxDelay:  50 * time.Millisecond,
 		Registry:       reg,
-	})
-	cache := orchestrator.NewCache(0, fleetDir)
-	cache.SetFaults(in)
-	orch := orchestrator.New(orchestrator.Config{
-		Workers: 4,
-		Cache:   cache,
-		Run:     coord.Dispatch,
-		Journal: journal,
 	})
 	srv := httptest.NewServer(faultinject.Middleware(coord.Handler(), in, faultinject.PointCoordHTTP))
 

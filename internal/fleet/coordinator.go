@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/orchestrator"
-	"repro/internal/pqueue"
 	"repro/internal/trace"
 )
 
@@ -48,68 +47,30 @@ type Config struct {
 	Spans tracez.Recorder
 }
 
-// dispatchResult is what a finished fleet job delivers back to its
-// blocked Dispatch call.
-type dispatchResult struct {
-	res *orchestrator.JobResult
-	err error
-}
-
-// fleetJob is one dispatched job's coordinator-side state. It is
-// guarded by Coordinator.mu except for done (written exactly once by
-// whoever terminates the job, read by the blocked Dispatch).
-type fleetJob struct {
-	id       string
-	key      string
-	priority int
-	req      orchestrator.Request
-	attempt  int // leases granted so far
-	seq      uint64
-	heapIdx  int
-	readyAt  time.Time // backoff gate; zero = dispatchable now
-	canceled bool
-	leaseID  string // current lease, "" when queued
-	progress func(done, total uint64)
-	done     chan dispatchResult // buffered 1
-
-	enqueuedAt time.Time
-
-	// traceparent/traceID carry the dispatch span's context: the header
-	// travels to workers on every lease grant, the ID correlates
-	// lease-lifecycle events in the flight recorder. Empty when the
-	// dispatching context carried no trace.
-	traceparent string
-	traceID     string
-	// runStarted tells the orchestrator a worker picked the job up (the
-	// Timeline's queue→run boundary). Called on every lease grant, so a
-	// job requeued after a dead lease restarts its run clock — run
-	// seconds never count a lease nobody executed.
-	runStarted func(worker string)
-}
-
-// lease is one worker's claim on a job.
+// lease is one worker's claim on a job: the orchestrator's Claim plus
+// the lease's identity and heartbeat deadline.
 type lease struct {
 	id       string
-	job      *fleetJob
+	claim    *orchestrator.Claim
 	worker   string
 	deadline time.Time
 }
 
-// Coordinator owns the fleet's job queue and lease table. Its Dispatch
-// method is an orchestrator.RunFunc: the orchestrator's worker pool
-// becomes the dispatch-concurrency bound, and every job the fleet
-// executes flows through the orchestrator's usual submit, coalesce,
-// cache and counter paths.
+// Coordinator serves the orchestrator's job queue to a worker fleet.
+// It is the queue's external consumer: a lease grant claims a job, a
+// heartbeat reads the job's cancel flag, and a completion, an expiry
+// or a release ends the claim by finishing or requeueing the job —
+// through the same transitions, cache publication, singleflight and
+// counters as the orchestrator's in-process pool. The coordinator
+// itself keeps only the lease table and the retry policy.
 type Coordinator struct {
-	cfg Config
+	cfg  Config
+	orch *orchestrator.Orchestrator
 
 	mu      sync.Mutex
-	pending *pqueue.Queue[*fleetJob]
-	delayed []*fleetJob // requeued jobs waiting out their backoff
 	leases  map[string]*lease
 	workers map[string]time.Time // worker name -> last poll
 	seq     uint64
-	closed  bool
 
 	stopReaper context.CancelFunc
 	reaperDone chan struct{}
@@ -128,8 +89,10 @@ type Coordinator struct {
 	dispatchSeconds *obs.Histogram
 }
 
-// NewCoordinator starts a coordinator and its lease reaper.
-func NewCoordinator(cfg Config) *Coordinator {
+// NewCoordinator starts a coordinator serving orch's queue, and its
+// lease reaper. Build orch with orchestrator.NewQueue, so the fleet's
+// workers are its only executors.
+func NewCoordinator(orch *orchestrator.Orchestrator, cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
 	}
@@ -149,16 +112,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg.Logger = obs.Discard()
 	}
 	c := &Coordinator{
-		cfg: cfg,
-		pending: pqueue.New(
-			func(a, b *fleetJob) bool {
-				if a.priority != b.priority {
-					return a.priority > b.priority
-				}
-				return a.seq < b.seq
-			},
-			func(j *fleetJob, idx int) { j.heapIdx = idx },
-		),
+		cfg:        cfg,
+		orch:       orch,
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]time.Time),
 		reaperDone: make(chan struct{}),
@@ -192,15 +147,11 @@ func (c *Coordinator) register(reg *obs.Registry) {
 	c.heartbeats = reg.Counter("lnuca_fleet_heartbeats_total",
 		"Worker heartbeats received.")
 	c.dispatchSeconds = reg.Histogram("lnuca_fleet_dispatch_seconds",
-		"Wall time from fleet dispatch to terminal outcome, retries included.",
+		"Wall time from submission to terminal outcome of fleet-executed jobs, retries included.",
 		[]float64{0.05, 0.25, 1, 5, 30, 120, 600})
 	reg.GaugeFunc("lnuca_fleet_jobs_pending",
-		"Dispatched jobs waiting for a worker (backoff-delayed retries included).",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.pending.Len() + len(c.delayed))
-		})
+		"Jobs waiting for a worker (backoff-delayed retries included).",
+		func() float64 { return float64(c.orch.Metrics().QueueDepth) })
 	reg.GaugeFunc("lnuca_fleet_leases_active",
 		"Jobs currently leased to a worker.",
 		func() float64 {
@@ -214,14 +165,10 @@ func (c *Coordinator) register(reg *obs.Registry) {
 			//lnuca:allow(determinism) operational telemetry; never result content
 			cutoff := time.Now().Add(-3 * c.cfg.LeaseTTL)
 			c.mu.Lock()
-			seen := make([]time.Time, 0, len(c.workers))
-			for _, at := range c.workers {
-				seen = append(seen, at)
-			}
-			c.mu.Unlock()
-			sort.Slice(seen, func(i, j int) bool { return seen[i].Before(seen[j]) })
+			defer c.mu.Unlock()
 			n := 0
-			for _, at := range seen {
+			//lnuca:allow(determinism) a count does not depend on iteration order
+			for _, at := range c.workers {
 				if at.After(cutoff) {
 					n++
 				}
@@ -231,181 +178,57 @@ func (c *Coordinator) register(reg *obs.Registry) {
 }
 
 // Close stops the lease reaper. Close the orchestrator first: its
-// shutdown cancels every blocked Dispatch, which is what unwinds
-// in-flight fleet jobs.
+// shutdown cancels every job still leased.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.reaperDone
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
 	c.stopReaper()
 	<-c.reaperDone
 }
 
-// Dispatch is the orchestrator.RunFunc of a fleet-backed daemon: it
-// enqueues the job for the worker fleet and blocks until a worker
-// delivers a result, the retry budget is exhausted, or ctx is canceled
-// (the orchestrator's cancel path — the lease protocol then tells the
-// executing worker to abort via its next heartbeat).
-func (c *Coordinator) Dispatch(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
-	span, sctx := tracez.StartSpan(ctx, "lnuca.fleet.dispatch")
-	fj := &fleetJob{
-		key:      j.Key(),
-		priority: j.Priority,
-		req:      orchestrator.RequestOf(j),
-		heapIdx:  -1,
-		progress: progress,
-		done:     make(chan dispatchResult, 1),
-		//lnuca:allow(determinism) dispatch latency telemetry; never result content
-		enqueuedAt:  time.Now(),
-		traceparent: tracez.Inject(sctx),
-		traceID:     tracez.TraceIDFrom(sctx),
-		// The closure carries the orchestrator's run-started hook (a ctx
-		// value) across the lease protocol without fleet depending on the
-		// orchestrator's internals.
-		runStarted: func(worker string) { orchestrator.RunStarted(sctx, worker) },
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		span.Finish()
-		return nil, fmt.Errorf("fleet: coordinator closed")
-	}
-	c.seq++
-	fj.id = fmt.Sprintf("fleet-%06d", c.seq)
-	fj.seq = c.seq
-	c.pending.Push(fj)
-	c.mu.Unlock()
-	c.log.Info("fleet dispatch", "fleet_id", fj.id, "key", fj.key)
-
-	select {
-	case r := <-fj.done:
-		c.observeDispatch(fj)
-		c.finishDispatchSpan(span, fj, r.err)
-		return r.res, r.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		fj.canceled = true
-		if fj.heapIdx >= 0 {
-			c.pending.RemoveAt(fj.heapIdx)
-		}
-		c.removeDelayedLocked(fj)
-		c.mu.Unlock()
-		c.observeDispatch(fj)
-		c.log.Info("fleet dispatch canceled", "fleet_id", fj.id, "key", fj.key)
-		c.finishDispatchSpan(span, fj, ctx.Err())
-		return nil, ctx.Err()
-	}
-}
-
-// finishDispatchSpan closes the dispatch span with the attempts the job
-// consumed and its outcome.
-func (c *Coordinator) finishDispatchSpan(span *tracez.Span, fj *fleetJob, err error) {
-	c.mu.Lock()
-	attempts := fj.attempt
-	c.mu.Unlock()
-	span.SetAttr("attempts", fmt.Sprintf("%d", attempts))
-	span.SetError(err)
-	span.Finish()
-}
-
-// event records a lease-lifecycle event in the flight recorder, if one
-// is configured. Safe under c.mu: the recorder is a leaf that never
-// calls back into the coordinator.
-func (c *Coordinator) event(kind, traceID, detail string) {
+// note logs a lease-lifecycle event and records it in the flight
+// recorder, if one is configured, under the job's trace. The recorder
+// is a leaf that never calls back into the coordinator.
+func (c *Coordinator) note(level slog.Level, kind string, cl *orchestrator.Claim, detail string) {
+	c.log.Log(context.Background(), level, "fleet "+kind, "job_id", cl.JobID, "key", cl.Key,
+		"attempt", cl.Attempt, "detail", detail)
 	if c.cfg.Events != nil {
-		c.cfg.Events.Event(kind, traceID, detail)
+		c.cfg.Events.Event(kind, cl.TraceID, detail)
 	}
 }
 
-func (c *Coordinator) observeDispatch(fj *fleetJob) {
-	if c.dispatchSeconds != nil {
-		//lnuca:allow(determinism) dispatch latency telemetry; never result content
-		c.dispatchSeconds.Observe(time.Since(fj.enqueuedAt).Seconds())
-	}
-}
-
-// removeDelayedLocked drops fj from the backoff list, if present.
-func (c *Coordinator) removeDelayedLocked(fj *fleetJob) {
-	for i, d := range c.delayed {
-		if d == fj {
-			c.delayed = append(c.delayed[:i], c.delayed[i+1:]...)
-			return
-		}
-	}
-}
-
-// promoteDueLocked moves backoff-delayed jobs whose time has come back
-// into the dispatchable queue.
-func (c *Coordinator) promoteDueLocked(now time.Time) {
-	kept := c.delayed[:0]
-	for _, fj := range c.delayed {
-		if !fj.readyAt.After(now) {
-			fj.readyAt = time.Time{}
-			c.pending.Push(fj)
-			continue
-		}
-		kept = append(kept, fj)
-	}
-	c.delayed = kept
-}
-
-// Lease grants the next dispatchable job to a polling worker, or nil
-// when there is none. Implements the POST /fleet/v1/lease semantics.
+// Lease grants the next claimable job to a polling worker, or nil when
+// there is none. Implements the POST /fleet/v1/lease semantics.
 func (c *Coordinator) Lease(worker string) *LeaseResponse {
 	//lnuca:allow(determinism) lease deadlines are wall-clock by nature; never result content
 	now := time.Now()
 	c.mu.Lock()
 	c.workers[worker] = now
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.promoteDueLocked(now)
-	fj, ok := c.pending.Pop()
-	if !ok {
+	cl := c.orch.TryClaim(worker)
+	if cl == nil {
 		c.mu.Unlock()
 		return nil
 	}
 	c.seq++
 	l := &lease{
 		id:       fmt.Sprintf("lease-%06d", c.seq),
-		job:      fj,
+		claim:    cl,
 		worker:   worker,
 		deadline: now.Add(c.cfg.LeaseTTL),
 	}
-	fj.attempt++
-	fj.leaseID = l.id
 	c.leases[l.id] = l
+	c.mu.Unlock()
 	if c.leasesGranted != nil {
 		c.leasesGranted.Inc()
 	}
-	c.log.Info("lease granted", "lease_id", l.id, "fleet_id", fj.id,
-		"key", fj.key, "worker", worker, "attempt", fj.attempt)
-	resp := &LeaseResponse{
+	c.note(slog.LevelInfo, "lease_granted", cl, fmt.Sprintf("lease %s worker %s attempt %d", l.id, worker, cl.Attempt))
+	return &LeaseResponse{
 		LeaseID:          l.id,
-		JobID:            fj.id,
-		Key:              fj.key,
-		Request:          fj.req,
-		Attempt:          fj.attempt,
+		JobID:            cl.JobID,
+		Key:              cl.Key,
+		Request:          orchestrator.RequestOf(cl.Job),
+		Attempt:          cl.Attempt,
 		HeartbeatSeconds: c.cfg.LeaseTTL.Seconds(),
-		Traceparent:      fj.traceparent,
+		Traceparent:      cl.Traceparent,
 	}
-	runStarted := fj.runStarted
-	traceID := fj.traceID
-	c.mu.Unlock()
-	c.event("lease_granted", traceID,
-		fmt.Sprintf("lease %s worker %s attempt %d", resp.LeaseID, worker, resp.Attempt))
-	// Outside c.mu: the hook takes the orchestrator's lock, and the
-	// orchestrator may call back into the coordinator while holding it.
-	if runStarted != nil {
-		runStarted(worker)
-	}
-	return resp
 }
 
 // Heartbeat extends a lease and forwards progress; ok is false for an
@@ -416,21 +239,17 @@ func (c *Coordinator) Heartbeat(leaseID string, done, total uint64) (cancel, ok 
 	now := time.Now()
 	c.mu.Lock()
 	l, ok := c.leases[leaseID]
+	if ok {
+		l.deadline = now.Add(c.cfg.LeaseTTL)
+	}
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return false, false
 	}
-	l.deadline = now.Add(c.cfg.LeaseTTL)
-	canceled := l.job.canceled
-	progress := l.job.progress
-	c.mu.Unlock()
 	if c.heartbeats != nil {
 		c.heartbeats.Inc()
 	}
-	if progress != nil && total > 0 {
-		progress(done, total)
-	}
-	return canceled, true
+	return c.orch.Heartbeat(l.claim, done, total), true
 }
 
 // Complete finishes a lease with a result or an error; ok is false for
@@ -443,107 +262,97 @@ func (c *Coordinator) Complete(req CompleteRequest) (ok bool) {
 	c.ingestSpans(req.Spans)
 	c.mu.Lock()
 	l, found := c.leases[req.LeaseID]
+	delete(c.leases, req.LeaseID)
+	c.mu.Unlock()
 	if !found {
-		c.mu.Unlock()
 		if c.lateCompletions != nil {
 			c.lateCompletions.Inc()
 		}
 		return false
 	}
-	delete(c.leases, req.LeaseID)
-	fj := l.job
-	fj.leaseID = ""
-	if fj.canceled {
-		// The submitter is gone; drop the outcome on the floor.
-		c.mu.Unlock()
-		return true
-	}
-	if req.Error == "" && req.Result != nil {
-		c.mu.Unlock()
+	cl := l.claim
+	switch {
+	case req.Error == "" && req.Result != nil:
+		// A canceled job drops the outcome.
+		if !c.orch.Finish(cl, req.Result, nil) {
+			return true
+		}
 		if c.results != nil {
 			c.results.Inc()
 		}
-		c.log.Info("fleet result", "lease_id", l.id, "fleet_id", fj.id,
-			"key", fj.key, "worker", l.worker, "attempt", fj.attempt)
-		c.event("completed", fj.traceID,
-			fmt.Sprintf("lease %s worker %s delivered a result", l.id, l.worker))
-		fj.done <- dispatchResult{res: req.Result}
-		return true
-	}
-	if req.Released {
+		c.observeDispatch(cl)
+		c.note(slog.LevelInfo, "completed", cl, fmt.Sprintf("lease %s worker %s delivered a result", l.id, l.worker))
+	case req.Released:
 		// An explicit, healthy hand-back: the worker is draining and
 		// could not finish. Refund the attempt and requeue immediately —
 		// no backoff and no attempt burned, so a rolling restart of the
 		// whole fleet can never exhaust a job's budget.
-		if fj.attempt > 0 {
-			fj.attempt--
+		if !c.orch.Requeue(cl, time.Time{}, true, "lease released by draining worker "+l.worker) {
+			return true
 		}
-		c.pending.Push(fj)
 		if c.releases != nil {
 			c.releases.Inc()
 		}
-		c.log.Info("lease released by draining worker", "lease_id", l.id,
-			"fleet_id", fj.id, "key", fj.key, "worker", l.worker)
-		c.event("lease_released", fj.traceID,
-			fmt.Sprintf("lease %s handed back by draining worker %s", l.id, l.worker))
-		c.mu.Unlock()
-		return true
+		c.note(slog.LevelInfo, "lease_released", cl, fmt.Sprintf("lease %s handed back by draining worker %s", l.id, l.worker))
+	default:
+		// An error outcome. A result-less success is malformed and
+		// treated as a retryable infrastructure failure.
+		errMsg := req.Error
+		retryable := req.Retryable
+		if errMsg == "" {
+			errMsg = "worker returned neither result nor error"
+			retryable = true
+		}
+		if c.workerErrors != nil {
+			c.workerErrors.Inc()
+		}
+		c.note(slog.LevelWarn, "worker_error", cl, fmt.Sprintf("lease %s worker %s (retryable %v): %s", l.id, l.worker, retryable, errMsg))
+		if retryable {
+			//lnuca:allow(determinism) retry backoff scheduling; never result content
+			c.retry(cl, errMsg, time.Now())
+		} else {
+			c.fail(cl, fmt.Errorf("fleet: worker %s: %s", l.worker, errMsg))
+		}
 	}
-	// An error outcome. A result-less success is malformed and treated
-	// as a retryable infrastructure failure.
-	errMsg := req.Error
-	retryable := req.Retryable
-	if errMsg == "" {
-		errMsg = "worker returned neither result nor error"
-		retryable = true
-	}
-	if c.workerErrors != nil {
-		c.workerErrors.Inc()
-	}
-	c.log.Warn("fleet worker error", "lease_id", l.id, "fleet_id", fj.id,
-		"key", fj.key, "worker", l.worker, "attempt", fj.attempt,
-		"retryable", retryable, "error", errMsg)
-	if retryable {
-		//lnuca:allow(determinism) retry backoff scheduling; never result content
-		c.requeueLocked(fj, errMsg, time.Now())
-		c.mu.Unlock()
-		return true
-	}
-	c.mu.Unlock()
-	c.failJob(fj, fmt.Errorf("fleet: worker %s: %s", l.worker, errMsg))
 	return true
 }
 
-// requeueLocked schedules another attempt for a job whose lease ended
-// without a usable result, or fails it once its attempt budget is
-// spent. Callers hold c.mu.
-func (c *Coordinator) requeueLocked(fj *fleetJob, reason string, now time.Time) {
-	if fj.attempt >= c.cfg.MaxAttempts {
-		// done is buffered, so completing under the lock cannot block.
-		c.failJob(fj, fmt.Errorf("fleet: job failed after %d attempts: %s", fj.attempt, reason))
+// retry requeues a job whose lease ended without a usable result,
+// after a capped exponential backoff — or fails it once its attempt
+// budget is spent.
+func (c *Coordinator) retry(cl *orchestrator.Claim, reason string, now time.Time) {
+	if cl.Attempt >= c.cfg.MaxAttempts {
+		c.fail(cl, fmt.Errorf("fleet: job failed after %d attempts: %s", cl.Attempt, reason))
 		return
 	}
-	delay := c.backoff(fj.attempt)
-	fj.readyAt = now.Add(delay)
-	c.delayed = append(c.delayed, fj)
+	delay := c.backoff(cl.Attempt)
+	if !c.orch.Requeue(cl, now.Add(delay), false, reason) {
+		return
+	}
 	if c.requeues != nil {
 		c.requeues.Inc()
 	}
-	c.log.Warn("fleet requeue", "fleet_id", fj.id, "key", fj.key,
-		"attempt", fj.attempt, "backoff_seconds", delay.Seconds(), "reason", reason)
-	c.event("requeued", fj.traceID,
-		fmt.Sprintf("attempt %d: %s (backoff %.2fs)", fj.attempt, reason, delay.Seconds()))
+	c.note(slog.LevelWarn, "requeued", cl, fmt.Sprintf("attempt %d: %s (backoff %.2fs)", cl.Attempt, reason, delay.Seconds()))
 }
 
-// failJob delivers a terminal failure to the blocked Dispatch.
-func (c *Coordinator) failJob(fj *fleetJob, err error) {
+// fail ends a job terminally with err.
+func (c *Coordinator) fail(cl *orchestrator.Claim, err error) {
+	if !c.orch.Finish(cl, nil, err) {
+		return
+	}
 	if c.jobsFailed != nil {
 		c.jobsFailed.Inc()
 	}
-	c.log.Warn("fleet job failed", "fleet_id", fj.id, "key", fj.key,
-		"attempts", fj.attempt, "error", err)
-	c.event("failed", fj.traceID, err.Error())
-	fj.done <- dispatchResult{err: err}
+	c.observeDispatch(cl)
+	c.note(slog.LevelWarn, "failed", cl, err.Error())
+}
+
+// observeDispatch records a fleet job's submission-to-outcome time.
+func (c *Coordinator) observeDispatch(cl *orchestrator.Claim) {
+	if c.dispatchSeconds != nil {
+		//lnuca:allow(determinism) dispatch latency telemetry; never result content
+		c.dispatchSeconds.Observe(time.Since(cl.SubmittedAt).Seconds())
+	}
 }
 
 // ingestSpans lands worker-shipped spans in the configured recorder,
@@ -603,25 +412,21 @@ func (c *Coordinator) reaper(ctx context.Context) {
 // expireLeases requeues every job whose lease deadline has passed.
 func (c *Coordinator) expireLeases(now time.Time) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	held := make([]*lease, 0, len(c.leases))
 	for _, l := range c.leases {
 		held = append(held, l)
 	}
 	sort.Slice(held, func(i, j int) bool { return held[i].id < held[j].id })
+	var expired []*lease
 	for _, l := range held {
-		if !l.deadline.Before(now) {
-			continue
+		if l.deadline.Before(now) {
+			expired = append(expired, l)
+			delete(c.leases, l.id)
 		}
-		delete(c.leases, l.id)
-		fj := l.job
-		fj.leaseID = ""
-		c.event("lease_expired", fj.traceID,
-			fmt.Sprintf("lease %s on worker %s missed its heartbeat deadline", l.id, l.worker))
-		if fj.canceled {
-			continue
-		}
-		c.requeueLocked(fj, fmt.Sprintf("lease %s on worker %s expired", l.id, l.worker), now)
 	}
-	c.promoteDueLocked(now)
+	c.mu.Unlock()
+	for _, l := range expired {
+		c.note(slog.LevelWarn, "lease_expired", l.claim, fmt.Sprintf("lease %s on worker %s missed its heartbeat deadline", l.id, l.worker))
+		c.retry(l.claim, fmt.Sprintf("lease %s on worker %s expired", l.id, l.worker), now)
+	}
 }

@@ -18,19 +18,20 @@ func TestFleetWorkerDrainReleasesLease(t *testing.T) {
 	reg := obs.NewRegistry()
 	// A TTL far longer than the test: if the job comes back at all, it
 	// came back through the release path, not the reaper.
-	coord := NewCoordinator(Config{
+	orch := orchestrator.NewQueue(orchestrator.Config{})
+	defer orch.Close()
+	coord := NewCoordinator(orch, Config{
 		LeaseTTL:       30 * time.Second,
 		MaxAttempts:    3,
 		RetryBaseDelay: time.Millisecond,
 		Registry:       reg,
 	})
 	defer coord.Close()
-	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch})
-	defer orch.Close()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	started := make(chan struct{}, 1)
+	started := make(chan struct{})
+	var startOnce sync.Once
 	ctx, cancel := context.WithCancel(context.Background())
 	w := NewWorker(WorkerConfig{
 		Coordinator:  srv.URL,
@@ -38,10 +39,7 @@ func TestFleetWorkerDrainReleasesLease(t *testing.T) {
 		PollInterval: time.Millisecond,
 		DrainGrace:   0, // release immediately on shutdown
 		Run: func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
+			startOnce.Do(func() { close(started) })
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
@@ -109,14 +107,15 @@ func TestFleetWorkerDrainReleasesLease(t *testing.T) {
 // delivered normally — no release, no retry, no lost work.
 func TestFleetWorkerDrainGraceLetsJobFinish(t *testing.T) {
 	reg := obs.NewRegistry()
-	coord := NewCoordinator(Config{LeaseTTL: 30 * time.Second, Registry: reg})
-	defer coord.Close()
-	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch})
+	orch := orchestrator.NewQueue(orchestrator.Config{})
 	defer orch.Close()
+	coord := NewCoordinator(orch, Config{LeaseTTL: 30 * time.Second, Registry: reg})
+	defer coord.Close()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	started := make(chan struct{}, 1)
+	started := make(chan struct{})
+	var startOnce sync.Once
 	finish := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 	w := NewWorker(WorkerConfig{
@@ -125,10 +124,7 @@ func TestFleetWorkerDrainGraceLetsJobFinish(t *testing.T) {
 		PollInterval: time.Millisecond,
 		DrainGrace:   20 * time.Second,
 		Run: func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
+			startOnce.Do(func() { close(started) })
 			// Ignore ctx: within the grace window the run context stays
 			// live, so a well-behaved job simply keeps going.
 			<-finish

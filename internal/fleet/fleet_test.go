@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -50,9 +51,9 @@ func sampleTrace() *trace.Trace {
 	return trace.New(trace.Meta{Benchmark: "400.perlbench", Seed: 7, Warmup: 100, Measure: 400}, ops)
 }
 
-// stack is one in-process fleet: a coordinator plugged into an
-// orchestrator as its RunFunc, served over a real HTTP listener, with
-// N pull workers running against it.
+// stack is one in-process fleet: a coordinator serving a pool-less
+// orchestrator's queue over a real HTTP listener, with N pull workers
+// running against it.
 type stack struct {
 	coord *Coordinator
 	orch  *orchestrator.Orchestrator
@@ -67,9 +68,8 @@ type stack struct {
 // default. Close order matters and close() encodes it.
 func startStack(t *testing.T, ccfg Config, ocfg orchestrator.Config, workers int, workerRun orchestrator.RunFunc) *stack {
 	t.Helper()
-	coord := NewCoordinator(ccfg)
-	ocfg.Run = coord.Dispatch
-	orch := orchestrator.New(ocfg)
+	orch := orchestrator.NewQueue(ocfg)
+	coord := NewCoordinator(orch, ccfg)
 	srv := httptest.NewServer(coord.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &stack{coord: coord, orch: orch, srv: srv, stopWorkers: cancel}
@@ -89,8 +89,8 @@ func startStack(t *testing.T, ccfg Config, ocfg orchestrator.Config, workers int
 	return s
 }
 
-// close tears the stack down: orchestrator first (unblocks every
-// Dispatch), then workers, coordinator, listener.
+// close tears the stack down: orchestrator first (cancels every leased
+// job), then workers, coordinator, listener.
 func (s *stack) close() {
 	s.orch.Close()
 	s.stopWorkers()
@@ -135,7 +135,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := startStack(t,
 		Config{LeaseTTL: 500 * time.Millisecond, Registry: reg},
-		orchestrator.Config{Workers: 4},
+		orchestrator.Config{},
 		2,
 		func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
 			progress(500, 1000)
@@ -181,15 +181,15 @@ func TestFleetRequeueExactlyOnce(t *testing.T) {
 	var mu sync.Mutex
 	executions := 0
 
-	coord := NewCoordinator(Config{
+	orch := orchestrator.NewQueue(orchestrator.Config{})
+	defer orch.Close()
+	coord := NewCoordinator(orch, Config{
 		LeaseTTL:       60 * time.Millisecond,
 		MaxAttempts:    3,
 		RetryBaseDelay: 5 * time.Millisecond,
 		Registry:       reg,
 	})
 	defer coord.Close()
-	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch})
-	defer orch.Close()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -263,7 +263,7 @@ func TestFleetTerminalErrorNotRetried(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := startStack(t,
 		Config{LeaseTTL: 500 * time.Millisecond, Registry: reg},
-		orchestrator.Config{Workers: 1},
+		orchestrator.Config{},
 		1,
 		func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
 			return nil, fmt.Errorf("simulated divergence in %s", j.Benchmark)
@@ -295,7 +295,9 @@ func TestFleetRetryExhaustion(t *testing.T) {
 	// Retryable failures burn attempts; at MaxAttempts the job fails
 	// terminally with the attempt count in the error.
 	reg := obs.NewRegistry()
-	coord := NewCoordinator(Config{
+	orch := orchestrator.NewQueue(orchestrator.Config{})
+	defer orch.Close()
+	coord := NewCoordinator(orch, Config{
 		LeaseTTL:       time.Second,
 		MaxAttempts:    2,
 		RetryBaseDelay: time.Millisecond,
@@ -303,15 +305,10 @@ func TestFleetRetryExhaustion(t *testing.T) {
 	})
 	defer coord.Close()
 
-	job, err := quickJob("403.gcc").Normalize()
+	rec, err := orch.Submit(quickJob("403.gcc"))
 	if err != nil {
-		t.Fatalf("normalize: %v", err)
+		t.Fatalf("submit: %v", err)
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := coord.Dispatch(context.Background(), job, nil)
-		errCh <- err
-	}()
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		var l *LeaseResponse
@@ -332,13 +329,9 @@ func TestFleetRetryExhaustion(t *testing.T) {
 		}
 	}
 
-	select {
-	case err := <-errCh:
-		if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
-			t.Fatalf("dispatch error = %v, want terminal failure after 2 attempts", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("dispatch never returned")
+	got := waitDone(t, orch, rec.ID)
+	if got.Status != orchestrator.StatusFailed || !strings.Contains(got.Error, "after 2 attempts") {
+		t.Fatalf("job ended %s (%q), want terminal failure after 2 attempts", got.Status, got.Error)
 	}
 	if coord.requeues.Value() != 1 {
 		t.Fatalf("requeues = %d, want 1 (second failure is terminal, not requeued)", coord.requeues.Value())
@@ -351,19 +344,15 @@ func TestFleetRetryExhaustion(t *testing.T) {
 func TestFleetCancelPropagatesToWorker(t *testing.T) {
 	// When the submitter gives up, the executing worker learns via its
 	// next heartbeat, and whatever it delivers afterwards is dropped.
-	coord := NewCoordinator(Config{LeaseTTL: time.Second})
+	orch := orchestrator.NewQueue(orchestrator.Config{})
+	defer orch.Close()
+	coord := NewCoordinator(orch, Config{LeaseTTL: time.Second})
 	defer coord.Close()
 
-	job, err := quickJob("403.gcc").Normalize()
+	rec, err := orch.Submit(quickJob("403.gcc"))
 	if err != nil {
-		t.Fatalf("normalize: %v", err)
+		t.Fatalf("submit: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := coord.Dispatch(ctx, job, nil)
-		errCh <- err
-	}()
 
 	var l *LeaseResponse
 	deadline := time.Now().Add(5 * time.Second)
@@ -379,14 +368,8 @@ func TestFleetCancelPropagatesToWorker(t *testing.T) {
 		t.Fatalf("pre-cancel heartbeat = (cancel=%v, ok=%v), want (false, true)", cancelFlag, ok)
 	}
 
-	cancel()
-	select {
-	case err := <-errCh:
-		if err != context.Canceled {
-			t.Fatalf("dispatch error = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("dispatch never returned after cancel")
+	if got, ok := orch.Cancel(rec.ID); !ok || got.Status != orchestrator.StatusCanceled {
+		t.Fatalf("cancel of a leased job = %+v (found %v), want canceled at once", got, ok)
 	}
 	if cancelFlag, ok := coord.Heartbeat(l.LeaseID, 0, 0); !ok || !cancelFlag {
 		t.Fatalf("post-cancel heartbeat = (cancel=%v, ok=%v), want (true, true)", cancelFlag, ok)
@@ -411,8 +394,8 @@ func TestFleetWorkerFetchesTraceFromCoordinator(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	coord := NewCoordinator(Config{LeaseTTL: 2 * time.Second, Traces: traces})
-	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch, Traces: traces})
+	orch := orchestrator.NewQueue(orchestrator.Config{Traces: traces})
+	coord := NewCoordinator(orch, Config{LeaseTTL: 2 * time.Second, Traces: traces})
 	srv := httptest.NewServer(coord.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	w := NewWorker(WorkerConfig{
@@ -474,7 +457,7 @@ func TestFleetByteIdenticalToLocal(t *testing.T) {
 	fleetDir := t.TempDir()
 	s := startStack(t,
 		Config{LeaseTTL: 5 * time.Second},
-		orchestrator.Config{Workers: 2, Cache: orchestrator.NewCache(0, fleetDir)},
+		orchestrator.Config{Cache: orchestrator.NewCache(0, fleetDir)},
 		2,
 		nil) // production SimRunWithTraces on each worker
 	for _, j := range jobs {
@@ -530,13 +513,11 @@ func TestFleetCoordinatorRestartResumesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	coord1 := NewCoordinator(Config{LeaseTTL: time.Second})
-	orch1 := orchestrator.New(orchestrator.Config{
-		Workers: 1,
+	orch1 := orchestrator.NewQueue(orchestrator.Config{
 		Cache:   orchestrator.NewCache(0, cachePath),
-		Run:     coord1.Dispatch,
 		Journal: j1,
 	})
+	coord1 := NewCoordinator(orch1, Config{LeaseTTL: time.Second})
 	srv1 := httptest.NewServer(coord1.Handler())
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	w1 := NewWorker(WorkerConfig{Coordinator: srv1.URL, Name: "w1", PollInterval: 5 * time.Millisecond, Run: countingRun})
@@ -561,7 +542,7 @@ func TestFleetCoordinatorRestartResumesSweep(t *testing.T) {
 		t.Fatalf("submit stranded job: %v", err)
 	}
 	// Crash the first incarnation. Orchestrator.Close cancels the
-	// stranded dispatch without journaling an end for it.
+	// stranded job without journaling an end for it.
 	orch1.Close()
 	coord1.Close()
 	srv1.Close()
@@ -578,13 +559,11 @@ func TestFleetCoordinatorRestartResumesSweep(t *testing.T) {
 	if len(pending) != 1 {
 		t.Fatalf("pending after restart = %d entries, want 1 (only the stranded job)", len(pending))
 	}
-	coord2 := NewCoordinator(Config{LeaseTTL: time.Second})
-	orch2 := orchestrator.New(orchestrator.Config{
-		Workers: 1,
+	orch2 := orchestrator.NewQueue(orchestrator.Config{
 		Cache:   orchestrator.NewCache(0, cachePath),
-		Run:     coord2.Dispatch,
 		Journal: j2,
 	})
+	coord2 := NewCoordinator(orch2, Config{LeaseTTL: time.Second})
 	srv2 := httptest.NewServer(coord2.Handler())
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	w2 := NewWorker(WorkerConfig{Coordinator: srv2.URL, Name: "w2", PollInterval: 5 * time.Millisecond, Run: countingRun})
@@ -640,6 +619,96 @@ func TestFleetCoordinatorRestartResumesSweep(t *testing.T) {
 		t.Fatalf("second incarnation cached hits = %d, want >= 2 (A and B come from the store)", m.Cached)
 	}
 	checkBalance(t, orch2)
+}
+
+func TestFleetLeasesNotBoundByCoordinatorCPUs(t *testing.T) {
+	// The fleet's concurrency is its workers', not the coordinator's
+	// core count: at GOMAXPROCS(1), with the pool size lnucad defaults
+	// -workers to, four blocking workers hold four leases at once.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	release := make(chan struct{})
+	s := startStack(t,
+		Config{LeaseTTL: 5 * time.Second},
+		orchestrator.Config{Workers: runtime.GOMAXPROCS(0)},
+		4,
+		func(ctx context.Context, j orchestrator.Job, progress func(done, total uint64)) (*orchestrator.JobResult, error) {
+			select {
+			case <-release:
+				return stubResult(j), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+	defer s.close()
+
+	benches := []string{"403.gcc", "429.mcf", "462.libquantum", "437.leslie3d"}
+	ids := make([]string, 0, len(benches))
+	for _, b := range benches {
+		rec, err := s.orch.Submit(quickJob(b))
+		if err != nil {
+			t.Fatalf("submit %s: %v", b, err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	held := func() int {
+		s.coord.mu.Lock()
+		defer s.coord.mu.Unlock()
+		return len(s.coord.leases)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for held() < len(benches) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := held(); n != len(benches) {
+		t.Fatalf("leases held at once = %d, want %d (one per blocking worker)", n, len(benches))
+	}
+	if m := s.orch.Metrics(); m.Running != len(benches) || m.QueueDepth != 0 {
+		t.Fatalf("running = %d, queued = %d, want %d and 0", m.Running, m.QueueDepth, len(benches))
+	}
+	close(release)
+	for _, id := range ids {
+		if got := waitDone(t, s.orch, id); got.Status != orchestrator.StatusDone {
+			t.Fatalf("job %s: %s %q", id, got.Status, got.Error)
+		}
+	}
+	checkBalance(t, s.orch)
+}
+
+func TestFleetLeaseAfterCompleteGetsNextJob(t *testing.T) {
+	// The lease source is the orchestrator's queue itself: with three
+	// jobs queued, a worker that completes a lease and polls at once
+	// gets the next job, with no hand-off goroutine to wait for.
+	orch := orchestrator.NewQueue(orchestrator.Config{})
+	defer orch.Close()
+	coord := NewCoordinator(orch, Config{LeaseTTL: 5 * time.Second})
+	defer coord.Close()
+
+	benches := []string{"403.gcc", "429.mcf", "462.libquantum"}
+	for _, b := range benches {
+		if _, err := orch.Submit(quickJob(b)); err != nil {
+			t.Fatalf("submit %s: %v", b, err)
+		}
+	}
+	l := coord.Lease("w1")
+	for i, b := range benches {
+		if l == nil {
+			t.Fatalf("poll %d: no lease, with %d jobs queued", i, len(benches)-i)
+		}
+		if l.Request.Benchmark != b {
+			t.Fatalf("poll %d leased %s, want %s (submission order)", i, l.Request.Benchmark, b)
+		}
+		if !coord.Complete(CompleteRequest{LeaseID: l.LeaseID, Result: stubResult(quickJob(b))}) {
+			t.Fatalf("completion %d rejected", i)
+		}
+		l = coord.Lease("w1")
+	}
+	if l != nil {
+		t.Fatalf("lease %s granted from an empty queue", l.LeaseID)
+	}
+	if m := orch.Metrics(); m.Executed != uint64(len(benches)) {
+		t.Fatalf("executed = %d, want %d", m.Executed, len(benches))
+	}
+	checkBalance(t, orch)
 }
 
 func TestFleetRouteLabel(t *testing.T) {

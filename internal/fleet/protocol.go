@@ -1,16 +1,18 @@
 // Package fleet distributes the orchestrator's job execution across
-// worker processes: a coordinator owns the job queue, the result cache
-// and the trace store, and stateless workers pull leased jobs over
-// HTTP, execute them through the same Runner machinery as a local run,
-// and push results back by content hash.
+// worker processes: a coordinator serves the orchestrator's job queue,
+// result cache and trace store over HTTP, and stateless workers pull
+// leased jobs, execute them through the same Runner machinery as a
+// local run, and push results back by content hash.
 //
-// The coordinator plugs into the orchestrator as its RunFunc
-// (Coordinator.Dispatch), so every invariant the single-process daemon
-// provides — singleflight coalescing, content-addressed caching,
-// balanced lifecycle counters, byte-identical lnuca-job-v2 cache
-// entries — holds unchanged when execution is remote. The orchestrator
-// worker pool becomes the dispatch-concurrency bound; each in-process
-// worker blocks while its job runs on a fleet worker somewhere else.
+// The orchestrator's queue is the fleet's only queue and the
+// coordinator is its external consumer: a lease grant claims a job
+// (Orchestrator.TryClaim), and a completion, expiry or release
+// finishes or requeues it through the same transitions as the
+// in-process pool. So every invariant the single-process daemon
+// provides — priority, backpressure, singleflight coalescing,
+// content-addressed caching, balanced lifecycle counters, the journal,
+// byte-identical lnuca-job-v2 cache entries — holds unchanged when
+// execution is remote.
 package fleet
 
 import (
@@ -42,15 +44,16 @@ type LeaseRequest struct {
 // schema every other entry path uses — plus the coordinator's expected
 // content key, which the worker verifies after normalizing.
 type LeaseResponse struct {
-	LeaseID          string               `json:"lease_id"`
+	LeaseID string `json:"lease_id"`
+	// JobID is the orchestrator's job ID (GET /v1/jobs/{id}).
 	JobID            string               `json:"job_id"`
 	Key              string               `json:"key"`
 	Request          orchestrator.Request `json:"request"`
 	Attempt          int                  `json:"attempt"`
 	HeartbeatSeconds float64              `json:"heartbeat_seconds"`
-	// Traceparent propagates the dispatching job's trace context to the
-	// worker, so the spans it emits while executing join the same trace
-	// as the coordinator's dispatch span. Empty when tracing is off.
+	// Traceparent propagates the job's trace context to the worker: the
+	// spans it emits while executing parent under this attempt's
+	// lnuca.orch.run span. Empty when tracing is off.
 	Traceparent string `json:"traceparent,omitempty"`
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // These tests pin the Timeline and tracing contracts for fleet-executed
-// jobs: queue vs run time splits at the lease grant (not at dispatch),
+// jobs: queue vs run time splits at the lease grant,
 // a requeued job never counts its dead lease as run time, every job
 // yields one rooted span tree, and every fault injection is
 // correlatable to a flight-recorder event by trace ID.
@@ -33,19 +33,19 @@ func leaseAs(t *testing.T, coord *Coordinator, worker string) *LeaseResponse {
 }
 
 func TestFleetTimelineSplitsQueueAndRun(t *testing.T) {
-	// A dispatched job with no worker available is queued, not running:
+	// A job with no worker available is queued, not running:
 	// QueueSeconds accrues until the lease grant, RunSeconds from the
 	// grant to completion, and the record names the executing worker.
-	coord := NewCoordinator(Config{LeaseTTL: 5 * time.Second})
-	defer coord.Close()
-	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch})
+	orch := orchestrator.NewQueue(orchestrator.Config{})
 	defer orch.Close()
+	coord := NewCoordinator(orch, Config{LeaseTTL: 5 * time.Second})
+	defer coord.Close()
 
 	rec, err := orch.Submit(quickJob("403.gcc"))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// No worker exists yet: the dispatched job sits in the fleet queue.
+	// No worker exists yet: the job sits in the queue.
 	time.Sleep(150 * time.Millisecond)
 	l := leaseAs(t, coord, "w1")
 	leased := time.Now()
@@ -79,15 +79,15 @@ func TestFleetTimelineExcludesExpiredLease(t *testing.T) {
 	// reset, a straggler report would blame the healthy second worker
 	// for the zombie's silence.
 	reg := obs.NewRegistry()
-	coord := NewCoordinator(Config{
+	orch := orchestrator.NewQueue(orchestrator.Config{})
+	defer orch.Close()
+	coord := NewCoordinator(orch, Config{
 		LeaseTTL:       60 * time.Millisecond,
 		MaxAttempts:    3,
 		RetryBaseDelay: 5 * time.Millisecond,
 		Registry:       reg,
 	})
 	defer coord.Close()
-	orch := orchestrator.New(orchestrator.Config{Workers: 1, Run: coord.Dispatch})
-	defer orch.Close()
 
 	rec, err := orch.Submit(quickJob("403.gcc"))
 	if err != nil {
@@ -183,7 +183,7 @@ func TestFleetJobProducesRootedSpanTree(t *testing.T) {
 	// A fleet-executed job yields one rooted span tree spanning client,
 	// orchestrator, coordinator and worker in the flight recorder: the
 	// worker's spans crossed the wire in its CompleteRequest and parent
-	// under the coordinator's dispatch span.
+	// under the attempt's lnuca.orch.run span.
 	flight := tracez.NewFlightRecorder(0, 0, 0)
 	tracer := tracez.New(flight)
 	s := startStack(t,
@@ -217,8 +217,7 @@ func TestFleetJobProducesRootedSpanTree(t *testing.T) {
 
 	want := []string{
 		"lnuca.client.submit", "lnuca.orch.submit", "lnuca.orch.job",
-		"lnuca.orch.queue", "lnuca.orch.run", "lnuca.fleet.dispatch",
-		"lnuca.worker.execute",
+		"lnuca.orch.queue", "lnuca.orch.run", "lnuca.worker.execute",
 	}
 	// Spans land asynchronously (orchestrator goroutines finish theirs
 	// after the terminal record); poll until the full tree is present.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -42,7 +43,8 @@ type WorkerConfig struct {
 	// job names are fetched from the coordinator on a local miss
 	// (default: a fresh memory-only store).
 	Traces *trace.Store
-	// PollInterval is the idle delay between lease polls (default 100ms).
+	// PollInterval is the mean idle delay between lease polls (default
+	// 100ms).
 	PollInterval time.Duration
 	// DrainGrace is how long a shutdown (Run's ctx canceled) lets an
 	// in-flight job keep running — heartbeats included — before the run
@@ -78,6 +80,8 @@ type Worker struct {
 	// lnuca.worker.leasewait span stretches from here to the grant.
 	// Touched only by the single Run loop goroutine.
 	idleSince time.Time
+	// rng draws the idle poll delays; touched only by the Run loop.
+	rng *rand.Rand
 }
 
 // NewWorker builds a worker; call Run to start the pull loop.
@@ -104,7 +108,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Logger = obs.Discard()
 	}
 	cfg.Coordinator = strings.TrimRight(cfg.Coordinator, "/")
-	w := &Worker{cfg: cfg}
+	//lnuca:allow(determinism) seeds idle poll jitter; never result content
+	w := &Worker{cfg: cfg, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
 	if reg := cfg.Registry; reg != nil {
 		w.jobs = reg.Counter("lnuca_fleet_worker_jobs_total",
 			"Leased jobs this worker finished (result or error pushed).")
@@ -141,7 +146,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.cfg.Logger.Warn("lease poll failed", "worker", w.cfg.Name, "error", err)
 			w.sleep(ctx, w.cfg.PollInterval)
 		case lease == nil:
-			w.sleep(ctx, w.cfg.PollInterval)
+			// A random phase keeps idle workers from polling in lockstep,
+			// so a new job waits for the earliest of their polls.
+			w.sleep(ctx, w.cfg.PollInterval/2+time.Duration(w.rng.Int63n(int64(w.cfg.PollInterval))))
 		default:
 			w.execute(ctx, lease)
 			//lnuca:allow(determinism) lease-wait span boundary; telemetry only, never result content
@@ -187,14 +194,14 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 		defer w.busy.Set(0)
 	}
 	log := w.cfg.Logger.With("worker", w.cfg.Name, "lease_id", lease.LeaseID,
-		"fleet_id", lease.JobID, "key", lease.Key)
+		"job_id", lease.JobID, "key", lease.Key)
 	log.Info("lease accepted", "attempt", lease.Attempt)
 
-	// Per-lease tracer: the worker's spans join the dispatching job's
-	// trace through the lease's traceparent, collect locally, and ship
-	// back piggybacked on the completion. Without a traceparent the
-	// tracer mints a fresh trace — the spans still reach the
-	// coordinator, just unstitched from a dispatch. rctx derives from
+	// Per-lease tracer: the worker's spans join the job's trace through
+	// the lease's traceparent, collect locally, and ship back
+	// piggybacked on the completion. Without a traceparent the tracer
+	// mints a fresh trace — the spans still reach the coordinator, just
+	// unstitched from the job. rctx derives from
 	// context.Background(), so it carries trace values but no poll-loop
 	// cancellation.
 	col := &tracez.Collector{}

@@ -26,10 +26,14 @@ import (
 //	{"op":"submit","id":"job-000123","key":"<sha256>","request":{...}}  // lnuca-run-v1
 //	{"op":"end","id":"job-000123","key":"<sha256>","status":"done"}
 //
-// Events are matched by content key, counting submits against ends, so
-// the journal is insensitive to append interleaving (a stub job can
-// reach its terminal state before the submit append lands) and to a
-// cancel-then-resubmit reusing a key. A crash-truncated final line is
+// Events are matched by content key: a key is pending while its submit
+// lines outnumber its end lines. The count ignores line order, so the
+// replayed state does not depend on how appends interleave, and a
+// cancel-then-resubmit reusing a key needs no special case. The writer
+// keeps the count exact: a job's submit is journaled before the job
+// can run, and an end line is written only for a submit the journal
+// holds (a journaled job's terminal transition, or a replayed key served
+// from the cache). A crash-truncated final line is
 // skipped on load, costing at worst one duplicate resubmission — which
 // the orchestrator's coalescing and cache make free.
 //
@@ -174,7 +178,7 @@ func loadPending(path string) ([]Request, int64, error) {
 	type entry struct {
 		open  int // submits minus ends
 		first int // line of first submission, for stable ordering
-		req   Request
+		req   *Request
 	}
 	entries := map[string]*entry{}
 	torn := int64(-1)
@@ -196,22 +200,22 @@ func loadPending(path string) ([]Request, int64, error) {
 		if err := json.Unmarshal(rec, &ev); err != nil || ev.Key == "" {
 			continue // foreign line
 		}
-		e := entries[ev.Key]
-		switch ev.Op {
-		case "submit":
-			if ev.Request == nil {
-				continue
-			}
-			if e == nil {
-				e = &entry{first: line, req: *ev.Request}
-				entries[ev.Key] = e
-			}
-			e.open++
-		case "end":
-			if e != nil && e.open > 0 {
-				e.open--
-			}
+		if ev.Op != "end" && (ev.Op != "submit" || ev.Request == nil) {
+			continue
 		}
+		e := entries[ev.Key]
+		if e == nil {
+			e = &entry{}
+			entries[ev.Key] = e
+		}
+		if ev.Op == "end" {
+			e.open--
+			continue
+		}
+		if e.req == nil {
+			e.first, e.req = line, ev.Request
+		}
+		e.open++
 	}
 	var open []*entry
 	for _, e := range entries {
@@ -222,7 +226,7 @@ func loadPending(path string) ([]Request, int64, error) {
 	sort.Slice(open, func(i, j int) bool { return open[i].first < open[j].first })
 	out := make([]Request, len(open))
 	for i, e := range open {
-		out[i] = e.req
+		out[i] = *e.req
 	}
 	return out, torn, nil
 }
@@ -276,18 +280,33 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// submitted records a job entering the queue. A key the open-time
-// compaction already wrote a line for consumes its replay credit
-// instead of appending a duplicate.
-func (j *Journal) submitted(id, key string, req Request) {
+// submitted records a job entering the queue and reports whether the
+// journal holds a submit line for it, which its end line must then
+// balance. A key the open-time compaction already wrote a line for
+// consumes its replay credit instead of appending a duplicate.
+func (j *Journal) submitted(id, key string, req Request) bool {
 	j.mu.Lock()
 	if j.credit[key] > 0 {
 		j.credit[key]--
 		j.mu.Unlock()
-		return
+		return true
 	}
 	j.mu.Unlock()
-	j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req})
+	return j.append(journalEvent{Op: "submit", ID: id, Key: key, Request: &req})
+}
+
+// served ends the compacted submit line of a replayed key that was
+// served from the cache without running, consuming its replay credit.
+// A key without credit has no open line, and gets no end line.
+func (j *Journal) served(id, key string) {
+	j.mu.Lock()
+	if j.credit[key] == 0 {
+		j.mu.Unlock()
+		return
+	}
+	j.credit[key]--
+	j.mu.Unlock()
+	j.append(journalEvent{Op: "end", ID: id, Key: key, Status: StatusDone})
 }
 
 // ended records a job reaching a terminal state.
@@ -295,35 +314,36 @@ func (j *Journal) ended(id, key string, status Status) {
 	j.append(journalEvent{Op: "end", ID: id, Key: key, Status: status})
 }
 
-// append writes one event line and syncs it: the journal exists to
-// survive crashes, so an event the orchestrator acted on must be on
-// disk before the next one. Event volume is one line per job lifecycle
-// transition — far off any hot path.
-func (j *Journal) append(ev journalEvent) {
+// append writes one event line and syncs it, reporting success: the
+// journal exists to survive crashes, so an event the orchestrator
+// acted on must be on disk before the next one. Event volume is one
+// line per job lifecycle transition — far off any hot path.
+func (j *Journal) append(ev journalEvent) bool {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "orchestrator: journal marshal: %v\n", err)
-		return
+		return false
 	}
 	data = append(data, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		return
+		return false
 	}
 	if out := j.faults.At(faultinject.PointJournalAppend); out.Fired {
 		j.noteAppendError(fmt.Errorf("journal append %s/%s: %w", ev.Op, ev.Key, out.ErrOrDefault()))
-		return
+		return false
 	}
 	if _, err := j.f.Write(data); err != nil {
 		j.noteAppendError(fmt.Errorf("journal append: %w", err))
-		return
+		return false
 	}
 	if err := j.f.Sync(); err != nil {
 		j.noteAppendError(fmt.Errorf("journal sync: %w", err))
-		return
+		return false
 	}
 	j.writeErrs.Store(0)
+	return true
 }
 
 // noteAppendError logs a failed durable write and advances the

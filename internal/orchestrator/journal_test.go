@@ -2,6 +2,8 @@ package orchestrator
 
 import (
 	"context"
+	"encoding/json"
+	"math/bits"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -96,6 +98,122 @@ func TestJournalRoundTrip(t *testing.T) {
 	j3.Close()
 	if pend := journalAt(t, path).Pending(); len(pend) != 0 {
 		t.Fatalf("pending after replay = %d, want 0", len(pend))
+	}
+}
+
+// TestJournalSubmitPrecedesRun forces the window in which a fast job
+// could journal its end before its submit: every journal append is
+// stalled (the test holds the journal's lock) while the job is
+// submitted. The job must not run until its submit line is on disk,
+// the file must read submit then end, and a reopened journal must hold
+// nothing pending.
+func TestJournalSubmitPrecedesRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.journal")
+	j := journalAt(t, path)
+	// onDisk receives, for each run, whether the job's submit line was
+	// already in the file when the run began.
+	onDisk := make(chan bool, 1)
+	o := New(Config{Workers: 1, Journal: j, Run: func(ctx context.Context, job Job, _ func(uint64, uint64)) (*JobResult, error) {
+		data, _ := os.ReadFile(path)
+		onDisk <- strings.Contains(string(data), `"op":"submit"`)
+		return stubResult(job), nil
+	}})
+	defer o.Close()
+
+	j.mu.Lock()
+	submitted := make(chan JobRecord, 1)
+	go func() {
+		rec, err := o.Submit(quickJob("403.gcc"))
+		if err != nil {
+			t.Error(err)
+		}
+		submitted <- rec
+	}()
+	select {
+	case <-onDisk:
+		j.mu.Unlock()
+		t.Fatal("job ran while its submit append was stalled: its end line could precede its submit line")
+	case <-time.After(200 * time.Millisecond):
+	}
+	j.mu.Unlock()
+	rec := <-submitted
+	if !<-onDisk {
+		t.Fatal("job ran before its submit line reached the journal")
+	}
+	waitDone(t, o, rec.ID)
+	o.Close()
+	j.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], `"op":"submit"`) || !strings.Contains(lines[1], `"op":"end"`) {
+		t.Fatalf("journal = %q, want a submit line then an end line", lines)
+	}
+	if pend := journalAt(t, path).Pending(); len(pend) != 0 {
+		t.Fatalf("pending after clean completion = %d, want 0", len(pend))
+	}
+}
+
+// TestJournalReplayIgnoresEventOrder: every ordering of one key's
+// submit and end lines replays to the same state — pending exactly
+// when submits outnumber ends — and leaves one compaction credit per
+// pending key, which one replayed submission and its end consume and
+// balance.
+func TestJournalReplayIgnoresEventOrder(t *testing.T) {
+	job, err := quickJob("403.gcc").Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, req := job.Key(), RequestOf(job)
+	submit, _ := json.Marshal(journalEvent{Op: "submit", ID: "job-000001", Key: key, Request: &req})
+	end, _ := json.Marshal(journalEvent{Op: "end", ID: "job-000001", Key: key, Status: StatusDone})
+	for _, c := range []struct{ submits, ends int }{{1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 1}, {3, 2}, {3, 3}} {
+		n := c.submits + c.ends
+		want := 0
+		if c.submits > c.ends {
+			want = 1
+		}
+		for mask := 0; mask < 1<<n; mask++ {
+			if bits.OnesCount(uint(mask)) != c.submits {
+				continue
+			}
+			// Bit i set: line i is a submit.
+			var file []byte
+			for i := 0; i < n; i++ {
+				line := end
+				if mask&(1<<i) != 0 {
+					line = submit
+				}
+				file = append(append(file, line...), '\n')
+			}
+			path := filepath.Join(t.TempDir(), "queue.journal")
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j := journalAt(t, path)
+			if got := len(j.Pending()); got != want {
+				t.Fatalf("%d submits, %d ends, order %0*b: pending = %d, want %d", c.submits, c.ends, n, mask, got, want)
+			}
+			if got := j.credit[key]; got != want {
+				t.Fatalf("%d submits, %d ends, order %0*b: credit = %d, want %d", c.submits, c.ends, n, mask, got, want)
+			}
+			// One replay of the key: its submission and end balance the
+			// compacted line (or a fresh submit line, when none is left).
+			if !j.submitted("job-000002", key, req) {
+				t.Fatal("replayed submission not journaled")
+			}
+			j.ended("job-000002", key, StatusDone)
+			if got := j.credit[key]; got != 0 {
+				t.Fatalf("credit after replay = %d, want 0", got)
+			}
+			j.Close()
+			if pend := journalAt(t, path).Pending(); len(pend) != 0 {
+				t.Fatalf("%d submits, %d ends, order %0*b: pending after replay = %d, want 0", c.submits, c.ends, n, mask, len(pend))
+			}
+		}
 	}
 }
 
@@ -217,11 +335,9 @@ func TestJournalCompaction(t *testing.T) {
 func TestQueueCapBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
+	var once sync.Once
 	o := New(Config{Workers: 1, QueueCap: 2, Run: func(ctx context.Context, job Job, _ func(uint64, uint64)) (*JobResult, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
+		once.Do(func() { close(started) })
 		<-release
 		return stubResult(job), nil
 	}})
@@ -289,11 +405,9 @@ func TestRateLimiter(t *testing.T) {
 func TestServerQueueFullAnd429(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
+	var once sync.Once
 	o := New(Config{Workers: 1, QueueCap: 1, Run: func(ctx context.Context, job Job, _ func(uint64, uint64)) (*JobResult, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
+		once.Do(func() { close(started) })
 		<-release
 		return stubResult(job), nil
 	}})

@@ -268,7 +268,8 @@ func SimRunWithTraces(cache *Cache, traces *trace.Store) RunFunc {
 
 // Config tunes an Orchestrator.
 type Config struct {
-	// Workers bounds concurrent simulations (default: 2).
+	// Workers sizes New's in-process pool, the bound on concurrent local
+	// simulations (default: 2). NewQueue starts no pool.
 	Workers int
 	// Cache memoizes results (default: a fresh memory-only cache).
 	Cache *Cache
@@ -304,9 +305,9 @@ type Config struct {
 	Journal *Journal
 	// Tracer, when set, opens spans for every submission's lifecycle
 	// (submit/coalesce/cache-hit, then queue and run for jobs that
-	// simulate) and threads the trace context into the RunFunc, so fleet
-	// dispatch and worker execution parent under the job's trace. Nil
-	// disables tracing at zero cost.
+	// simulate) and threads the trace context into the RunFunc and into
+	// claims, so local phase spans and fleet worker execution parent
+	// under the job's trace. Nil disables tracing at zero cost.
 	Tracer *tracez.Tracer
 	// Flight, when set, is the bounded in-memory store behind GET
 	// /v1/traces/{jobid}/spans and /debug/tracez. It also receives
@@ -315,7 +316,7 @@ type Config struct {
 	Flight *tracez.FlightRecorder
 }
 
-// task is the internal mutable state behind a JobRecord.
+// task is a job's one lifecycle record, whichever consumer runs it.
 type task struct {
 	id       string
 	key      string
@@ -324,24 +325,36 @@ type task struct {
 	cached   bool
 	errMsg   string
 	result   *JobResult
-	cancel   context.CancelFunc
-	canceled bool // cancel requested while still queued
+	cancel   context.CancelFunc // aborts a pool run
+	canceled bool               // cancellation requested
 	seq      uint64
-	heapIdx  int // -1 when not queued
+	heapIdx  int // -1 when not in the heap
+
+	// journaled records that the submit reached the journal, so the
+	// terminal transition owes it an end line.
+	journaled bool
+	// attempts counts executions started (pool runs and claims, minus
+	// refunded ones). claim is the external consumer's current attempt,
+	// nil for pool runs and tasks not running. readyAt holds a requeued
+	// task out of the heap until its backoff elapses.
+	attempts int
+	claim    *Claim
+	readyAt  time.Time
 
 	// Lifecycle timestamps; startedAt/finishedAt are zero until the
-	// transition happens. For fleet-dispatched jobs startedAt is reset
-	// at every lease grant (see RunStarted), so RunSeconds measures the
-	// lease that actually produced the result, not dead leases.
+	// transition happens. startedAt is reset at every start and cleared
+	// by a requeue, so RunSeconds measures the attempt that produced
+	// the outcome and dead attempts count as queue time.
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
 
 	// Tracing state (all nil/empty when tracing is off). jobSpan is the
 	// job's root span, open from submission to terminal; queueSpan and
-	// runSpan bound the two lifecycle phases. worker is the fleet worker
-	// executing the current lease, reported by RunStarted. All span
-	// mutations happen under the orchestrator's mu.
+	// runSpan bound the current lifecycle phase (a requeue closes the
+	// run span and opens a new queue span). worker is the fleet worker
+	// executing the current attempt. All span mutations happen under
+	// the orchestrator's mu.
 	traceID   string
 	jobSpan   *tracez.Span
 	queueSpan *tracez.Span
@@ -351,8 +364,14 @@ type task struct {
 	progDone, progTotal atomic.Uint64
 }
 
-// Orchestrator owns the job queue, the worker pool, the result cache
-// and the trace store.
+// setProgress records (committed, total) instruction counts.
+func (t *task) setProgress(done, total uint64) {
+	t.progDone.Store(done)
+	t.progTotal.Store(total)
+}
+
+// Orchestrator owns the job queue, the in-process worker pool, the
+// result cache and the trace store.
 type Orchestrator struct {
 	cfg    Config
 	cache  *Cache
@@ -361,6 +380,7 @@ type Orchestrator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    *pqueue.Queue[*task]
+	delayed  []*task          // requeued tasks waiting out their backoff
 	records  map[string]*task // by job ID
 	byKey    map[string]*task // singleflight: content key -> live task
 	sweeps   map[string][]string
@@ -399,11 +419,25 @@ type Orchestrator struct {
 	simInstr     *obs.Counter
 }
 
-// New starts an orchestrator and its worker pool.
+// New starts an orchestrator and its in-process worker pool.
 func New(cfg Config) *Orchestrator {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
+	o := NewQueue(cfg)
+	o.cfg.Workers = cfg.Workers
+	if o.cfg.Workers <= 0 {
+		o.cfg.Workers = 2
 	}
+	for i := 0; i < o.cfg.Workers; i++ {
+		o.wg.Add(1)
+		go o.worker()
+	}
+	return o
+}
+
+// NewQueue starts an orchestrator without an in-process pool: its jobs
+// run only when an external consumer claims them (TryClaim), as a
+// fleet coordinator's workers do. cfg.Workers is ignored.
+func NewQueue(cfg Config) *Orchestrator {
+	cfg.Workers = 0
 	if cfg.Cache == nil {
 		cfg.Cache = NewCache(0, "")
 	}
@@ -436,10 +470,6 @@ func New(cfg Config) *Orchestrator {
 	if cfg.Registry != nil {
 		o.registry = cfg.Registry
 		o.register(cfg.Registry)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		o.wg.Add(1)
-		go o.worker()
 	}
 	return o
 }
@@ -654,8 +684,7 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 		now := time.Now()
 		t.submittedAt = now
 		t.finishedAt = now
-		t.progDone.Store(1)
-		t.progTotal.Store(1)
+		t.setProgress(1, 1)
 		rec := o.snapshot(t)
 		o.markTerminalLocked(t)
 		o.mu.Unlock()
@@ -664,9 +693,9 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 		// Balance a possibly replayed journal entry for this key: a
 		// pending submission resubmitted after a restart may now be a
 		// cache hit, and without an end event it would stay pending in
-		// the journal forever. Unmatched end events are ignored on load.
+		// the journal forever.
 		if o.cfg.Journal != nil {
-			o.cfg.Journal.ended(t.id, key, StatusDone)
+			o.cfg.Journal.served(t.id, key)
 		}
 		o.log.Info("job cached", "job_id", rec.ID, "key", key)
 		return rec, nil
@@ -699,7 +728,7 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 	}
 	// Backpressure: a bounded queue rejects rather than buffers without
 	// limit. Coalesced and cached submissions never reach this point.
-	if o.cfg.QueueCap > 0 && o.queue.Len() >= o.cfg.QueueCap {
+	if o.cfg.QueueCap > 0 && o.queuedLocked() >= o.cfg.QueueCap {
 		o.mu.Unlock()
 		return JobRecord{}, ErrQueueFull
 	}
@@ -731,14 +760,16 @@ func (o *Orchestrator) submit(ctx context.Context, nj Job) (JobRecord, error) {
 	t.jobSpan = jobSpan
 	t.queueSpan, _ = tracez.StartSpanAt(jctx, "lnuca.orch.queue", t.submittedAt)
 	t.traceID = tracez.TraceIDFrom(jctx)
+	// Journal the submit before the task can be popped or claimed, so
+	// its end line can never precede it.
+	if o.cfg.Journal != nil {
+		t.journaled = o.cfg.Journal.submitted(t.id, key, RequestOf(nj))
+	}
 	o.byKey[key] = t
 	o.queue.Push(t)
 	o.cond.Signal()
 	rec := o.snapshot(t)
 	o.mu.Unlock()
-	if o.cfg.Journal != nil {
-		o.cfg.Journal.submitted(t.id, key, RequestOf(nj))
-	}
 	o.log.Info("job submitted", "job_id", rec.ID, "key", key, "priority", nj.Priority)
 	return rec, nil
 }
@@ -753,37 +784,6 @@ func (o *Orchestrator) traceCoalesced(ctx context.Context, winnerTraceID, jobID 
 	if winnerTraceID != "" {
 		o.cfg.Flight.Event("coalesced", winnerTraceID, "submission "+tracez.TraceIDFrom(ctx)+" merged onto "+jobID)
 	}
-}
-
-// runStartedKey carries the per-task run-(re)start callback through the
-// RunFunc's context.
-type runStartedKey struct{}
-
-// RunStarted notifies the orchestrator that execution of the job behind
-// ctx actually (re)started on the named worker. Fleet coordinators call
-// it at every lease grant, so a dispatched job's Timeline splits queue
-// vs run time at the moment a worker began executing — not when the
-// dispatch was enqueued — and a job requeued after a lease expiry
-// counts its dead first lease as queue time, never run time. No-op for
-// contexts without the hook (local pool runs, tests, stub RunFuncs).
-func RunStarted(ctx context.Context, worker string) {
-	if fn, ok := ctx.Value(runStartedKey{}).(func(string)); ok {
-		fn(worker)
-	}
-}
-
-// withRunStarted arms RunStarted for one task's run context.
-func (o *Orchestrator) withRunStarted(ctx context.Context, t *task) context.Context {
-	return context.WithValue(ctx, runStartedKey{}, func(worker string) {
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		now := time.Now()
-		o.mu.Lock()
-		if t.status == StatusRunning {
-			t.startedAt = now
-			t.worker = worker
-		}
-		o.mu.Unlock()
-	})
 }
 
 // Flight returns the flight recorder behind the span endpoints, or nil
@@ -885,35 +885,19 @@ func (o *Orchestrator) Cancel(id string) (JobRecord, bool) {
 	if !ok {
 		return JobRecord{}, false
 	}
-	switch t.status {
-	case StatusQueued:
-		if t.heapIdx >= 0 {
-			o.queue.RemoveAt(t.heapIdx)
-		}
-		if o.byKey[t.key] == t {
-			delete(o.byKey, t.key)
-		}
-		t.status = StatusCanceled
+	switch {
+	case t.status.Terminal():
+	case t.status == StatusRunning && t.claim == nil:
 		t.canceled = true
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.finishedAt = time.Now()
-		o.canceled++
-		t.queueSpan.FinishAt(t.finishedAt)
-		t.jobSpan.SetAttr("status", string(StatusCanceled))
-		t.jobSpan.FinishAt(t.finishedAt)
-		o.markTerminalLocked(t)
-		// An explicit cancel is journaled (unlike the implicit ones during
-		// Close): the user asked for the job not to run, so a restart must
-		// not resurrect it.
-		if o.cfg.Journal != nil {
-			o.cfg.Journal.ended(t.id, t.key, StatusCanceled)
-		}
-		o.log.Info("job canceled", "job_id", t.id, "key", t.key, "while", "queued")
-	case StatusRunning:
+		t.cancel() // the pool run ends through finish
+	default:
+		// A queued or claimed job ends now; an external executor learns
+		// of it from Heartbeat. An explicit cancel is journaled (unlike
+		// the implicit ones during Close): the user asked for the job not
+		// to run, so a restart must not resurrect it.
 		t.canceled = true
-		if t.cancel != nil {
-			t.cancel()
-		}
+		o.dequeueLocked(t)
+		o.endLocked(t, nil, context.Canceled)
 	}
 	return o.snapshot(t), true
 }
@@ -1045,7 +1029,7 @@ func (o *Orchestrator) Metrics() Metrics {
 		}
 	}
 	m := Metrics{
-		QueueDepth: o.queue.Len(),
+		QueueDepth: o.queuedLocked(),
 		Running:    running,
 		Workers:    o.cfg.Workers,
 		Submitted:  o.submitted,
@@ -1079,144 +1063,22 @@ func (o *Orchestrator) Close() {
 		return
 	}
 	o.closed = true
-	// Shutdown cancellations are deliberately NOT journaled: a drained
-	// queue is exactly the state a restarted daemon must resubmit, so the
-	// journal keeps these jobs pending.
-	for o.queue.Len() > 0 {
-		t, _ := o.queue.Pop()
-		t.status = StatusCanceled
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.finishedAt = time.Now()
-		if o.byKey[t.key] == t {
-			delete(o.byKey, t.key)
-		}
-		o.canceled++
-		t.queueSpan.FinishAt(t.finishedAt)
-		t.jobSpan.SetAttr("status", string(StatusCanceled))
-		t.jobSpan.FinishAt(t.finishedAt)
-		o.markTerminalLocked(t)
-	}
+	// Shutdown cancellations are deliberately NOT journaled (endLocked
+	// checks closed): a drained queue is exactly the state a restarted
+	// daemon must resubmit, so the journal keeps these jobs pending.
 	//lnuca:allow(determinism) cancellation order is unobservable; every remaining task is canceled regardless of order
 	for _, t := range o.records {
-		if t.status == StatusRunning && t.cancel != nil {
+		switch {
+		case t.status == StatusQueued || t.claim != nil:
+			o.endLocked(t, nil, context.Canceled)
+		case t.status == StatusRunning:
 			t.cancel()
 		}
 	}
+	o.queue, o.delayed = newTaskQueue(), nil
 	o.cond.Broadcast()
 	o.mu.Unlock()
 	o.wg.Wait()
-}
-
-// worker is one pool goroutine: pop the highest-priority task, run it,
-// publish the result.
-func (o *Orchestrator) worker() {
-	defer o.wg.Done()
-	for {
-		o.mu.Lock()
-		for o.queue.Len() == 0 && !o.closed {
-			o.cond.Wait()
-		}
-		if o.closed {
-			o.mu.Unlock()
-			return
-		}
-		t, _ := o.queue.Pop()
-		t.status = StatusRunning
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.startedAt = time.Now()
-		queued := t.startedAt.Sub(t.submittedAt)
-		t.queueSpan.FinishAt(t.startedAt)
-		// The run context carries the tracer and the job span's identity,
-		// so everything the RunFunc does — local phase spans, or a fleet
-		// dispatch whose worker spans come back on complete — parents
-		// under this job's trace; it also carries the RunStarted hook.
-		base := tracez.WithTracer(context.Background(), o.cfg.Tracer)
-		base = tracez.WithSpanContext(base, t.jobSpan.Context())
-		runSpan, base := tracez.StartSpanAt(base, "lnuca.orch.run", t.startedAt)
-		t.runSpan = runSpan
-		ctx, cancel := context.WithCancel(o.withRunStarted(base, t))
-		t.cancel = cancel
-		o.mu.Unlock()
-
-		if o.queueSeconds != nil {
-			o.queueSeconds.Observe(queued.Seconds())
-		}
-		o.log.Info("job started", "job_id", t.id, "key", t.key,
-			"queue_seconds", queued.Seconds())
-
-		res, err := o.cfg.Run(ctx, t.job, func(done, total uint64) {
-			t.progDone.Store(done)
-			t.progTotal.Store(total)
-		})
-		cancel()
-
-		// Publish the result before releasing the singleflight entry:
-		// otherwise an identical submission landing in between would
-		// neither coalesce nor hit the cache, and re-simulate. The run
-		// context (canceled, but its values intact) attributes injected
-		// persist faults to this job's trace.
-		if err == nil {
-			o.cache.PutCtx(ctx, t.key, res)
-		}
-		o.mu.Lock()
-		// A cancel-then-resubmit may have replaced this key's live task;
-		// only remove the entry if it is still ours.
-		if o.byKey[t.key] == t {
-			delete(o.byKey, t.key)
-		}
-		//lnuca:allow(determinism) job lifecycle timestamp; telemetry only, never in result content or keys
-		t.finishedAt = time.Now()
-		ran := t.finishedAt.Sub(t.startedAt)
-		switch {
-		case err != nil && (errors.Is(err, context.Canceled) || t.canceled):
-			t.status = StatusCanceled
-			t.errMsg = context.Canceled.Error()
-			o.canceled++
-		case err != nil:
-			t.status = StatusFailed
-			t.errMsg = err.Error()
-			o.failed++
-		default:
-			t.status = StatusDone
-			t.result = res
-			o.executed++
-		}
-		status := t.status
-		closing := o.closed
-		if t.worker != "" {
-			t.runSpan.SetAttr("worker", t.worker)
-		}
-		t.runSpan.SetAttr("status", string(status))
-		t.runSpan.SetError(err)
-		t.runSpan.FinishAt(t.finishedAt)
-		t.jobSpan.SetAttr("status", string(status))
-		t.jobSpan.SetError(err)
-		t.jobSpan.FinishAt(t.finishedAt)
-		o.markTerminalLocked(t)
-		o.mu.Unlock()
-
-		// Journal the terminal transition — except for jobs the shutdown
-		// itself canceled, which must stay pending for the restart replay.
-		if o.cfg.Journal != nil && !(closing && status == StatusCanceled) {
-			o.cfg.Journal.ended(t.id, t.key, status)
-		}
-
-		if o.runSeconds != nil {
-			o.runSeconds.Observe(ran.Seconds())
-		}
-		switch status {
-		case StatusDone:
-			o.observeRun(res)
-			o.log.Info("job done", "job_id", t.id, "key", t.key,
-				"run_seconds", ran.Seconds(), "mips", runMIPS(res))
-		case StatusFailed:
-			o.log.Warn("job failed", "job_id", t.id, "key", t.key,
-				"run_seconds", ran.Seconds(), "error", err)
-		default:
-			o.log.Info("job canceled", "job_id", t.id, "key", t.key,
-				"while", "running", "run_seconds", ran.Seconds())
-		}
-	}
 }
 
 // observeRun feeds one executed run's phase breakdown into the

@@ -237,46 +237,6 @@ func resultFrom(key string, jr *orchestrator.JobResult, cached bool) Result {
 	return out
 }
 
-// Options tune a run submitted through the deprecated Run entry point.
-//
-// Deprecated: build a Request instead; it carries the same fields plus
-// the CMP mode, and flows unchanged through every front-end.
-type Options struct {
-	// Levels selects the L-NUCA depth (2..6; default 3).
-	Levels int
-	// Seed makes runs reproducible (default 1).
-	Seed uint64
-	// WarmupInstructions and MeasureInstructions size the run (defaults:
-	// the harness "quick" mode; the paper uses 200M + 100M). Setting a
-	// warmup without a measured window is rejected.
-	WarmupInstructions, MeasureInstructions uint64
-}
-
-// defaultRunner backs the deprecated Run shim; repeated identical runs
-// memoize in process.
-var defaultRunner Local
-
-// Run simulates one benchmark on one hierarchy and reports the measured
-// window.
-//
-// Deprecated: use a Runner with a Request — Run(h, b, opt) is exactly
-//
-//	(&lightnuca.Local{}).Run(ctx, lightnuca.Request{
-//		Hierarchy: lightnuca.HierarchyName(h), Benchmark: b,
-//		Levels: opt.Levels, Seed: opt.Seed,
-//		Warmup: opt.WarmupInstructions, Measure: opt.MeasureInstructions,
-//	})
-func Run(h Hierarchy, benchmark string, opt Options) (Result, error) {
-	return defaultRunner.Run(context.Background(), Request{
-		Hierarchy: HierarchyName(h),
-		Levels:    opt.Levels,
-		Benchmark: benchmark,
-		Warmup:    opt.WarmupInstructions,
-		Measure:   opt.MeasureInstructions,
-		Seed:      opt.Seed,
-	})
-}
-
 // Record executes one single-core Request in process — exactly the run
 // any Runner would perform, bit-identical statistics included — while
 // capturing the op stream the core consumed into a replayable Trace.
