@@ -66,7 +66,20 @@ func (c Config) Validate() error {
 	if err := c.Bank.Validate(); err != nil {
 		return fmt.Errorf("dnuca: bank: %w", err)
 	}
+	if err := c.meshConfig().Validate(); err != nil {
+		return fmt.Errorf("dnuca: mesh: %w", err)
+	}
 	return nil
+}
+
+// meshConfig returns the network geometry: one router per bank plus the
+// controller row.
+func (c Config) meshConfig() noc.MeshConfig {
+	return noc.MeshConfig{
+		Width:  c.Cols,
+		Height: c.Rows + 1, // row 0 hosts the controller
+		VCs:    c.VCs, VCDepth: c.VCDepth,
+	}
 }
 
 // msgKind discriminates D-NUCA network payloads.
@@ -156,12 +169,8 @@ func New(cfg Config, up, down *mem.Port, ids *mem.IDSource) (*DNUCA, error) {
 		return nil, err
 	}
 	d := &DNUCA{
-		cfg: cfg,
-		mesh: noc.NewMesh(noc.MeshConfig{
-			Width:  cfg.Cols,
-			Height: cfg.Rows + 1, // row 0 hosts the controller
-			VCs:    cfg.VCs, VCDepth: cfg.VCDepth,
-		}),
+		cfg:      cfg,
+		mesh:     noc.NewMesh(cfg.meshConfig()),
 		rng:      sim.NewRand(cfg.Seed),
 		up:       up,
 		down:     down,
@@ -316,9 +325,13 @@ func (d *DNUCA) toMemory(now sim.Cycle, line mem.Addr) {
 	d.memQ.Push(&mem.Req{ID: d.ids.Next(), Addr: line, Kind: mem.Read, Issued: now})
 }
 
-// ejectBanks enqueues arriving work at each bank.
+// ejectBanks enqueues arriving work at each bank, stopping once the
+// mesh holds no undelivered message.
 func (d *DNUCA) ejectBanks(now sim.Cycle) {
 	for _, b := range d.banks {
+		if d.mesh.Ejected() == 0 {
+			return
+		}
 		for {
 			m, ok := d.mesh.EjectOne(b.pos)
 			if !ok {

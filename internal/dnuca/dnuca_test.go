@@ -304,6 +304,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidationMesh checks that an invalid network configuration
+// comes back from New as an error instead of panicking in noc.NewMesh.
+func TestConfigValidationMesh(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero VCs", func(c *Config) { c.VCs = 0 }},
+		{"zero VC depth", func(c *Config) { c.VCDepth = 0 }},
+		{"VCs wider than the occupancy mask", func(c *Config) { c.VCs = 13 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ids mem.IDSource
+			up, down := mem.NewPort(4, 4), mem.NewPort(4, 4)
+			cfg := DefaultConfig()
+			tc.edit(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("New panicked: %v", p)
+				}
+			}()
+			if _, err := New(cfg, up, down, &ids); err == nil {
+				t.Fatal("New accepted an invalid mesh configuration")
+			}
+		})
+	}
+}
+
 func TestColumnMapping(t *testing.T) {
 	h := newDNHarness(t, DefaultConfig())
 	// Consecutive 128B blocks map to consecutive columns (interleaving).

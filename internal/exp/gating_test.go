@@ -90,3 +90,34 @@ func TestGatingShuffleEquivalenceCMPMix(t *testing.T) {
 		}
 	}
 }
+
+// TestGatingSkipsWork pins how much simulation work activity gating
+// saves on the Fig. 5 quick suite (the D-NUCA specs x the four
+// benchmarks the throughput benchmarks use): the component Evals an
+// ungated run executes, over those of the gated run, must stay >= 5.
+// Evals are SteppedCycles x AvgActiveComponents from each run's Phases.
+// The count is deterministic, unlike a wall-clock ratio, and it drops
+// if any component stops reporting itself idle.
+func TestGatingSkipsWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the Fig. 5 quick suite twice")
+	}
+	var evals [2]float64 // gated, ungated
+	for i, ungated := range []bool{false, true} {
+		for _, s := range DNUCASpecs() {
+			s.Ungated = ungated
+			for _, name := range []string{"403.gcc", "429.mcf", "434.zeusmp", "482.sphinx3"} {
+				r := RunOne(s, mustProfile(t, name), Quick, 1)
+				if r.Err != nil {
+					t.Fatalf("%s %s ungated=%v: %v", s.Label(), name, ungated, r.Err)
+				}
+				evals[i] += float64(r.Phases.SteppedCycles) * r.Phases.AvgActiveComponents
+			}
+		}
+	}
+	ratio := evals[1] / evals[0]
+	t.Logf("component Evals: gated %.0f, ungated %.0f, ratio %.2f", evals[0], evals[1], ratio)
+	if ratio < 5.0 {
+		t.Fatalf("ungated/gated component Evals = %.2f, want >= 5.0", ratio)
+	}
+}

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -29,30 +30,26 @@ type flit struct {
 type vcState struct {
 	buf []flit
 	// routed is set once the head flit has picked an output.
-	routed  bool
-	outDir  Dir
-	outVC   int
-	credits int // unused on Local ejection
-}
-
-// outOwner records which input VC currently owns an output VC (from head
-// until tail, the wormhole invariant).
-type outOwner struct {
-	active bool
-	inDir  Dir
-	inVC   int
+	routed bool
+	outDir Dir
+	outVC  int
 }
 
 type router struct {
 	pos Coord
-	// in[dir][vc] input-buffered virtual channels.
-	in [NumDirs][]vcState
-	// owner[dir][vc] output VC reservations.
-	owner [NumDirs][]outOwner
+	// nbr[dir] is the router one hop away in dir (nil past the mesh
+	// edge and for Local).
+	nbr [NumDirs]*router
+	// in[dir*VCs+vc] holds the input-buffered virtual channels.
+	in []vcState
+	// occ has bit dir*VCs+vc set exactly while in[dir*VCs+vc] buffers
+	// a flit, so a router with occ == 0 has nothing to allocate.
+	occ uint64
+	// owned[dir*VCs+vc] is set while an input VC holds output VC
+	// (dir, vc), from head until tail (the wormhole invariant).
+	owned []bool
 	// ejected messages awaiting pickup by the local node.
 	ejectQ sim.Queue[*Message]
-	// rrNext rotates switch-allocation priority for fairness.
-	rrNext int
 }
 
 // MeshConfig parameterizes a wormhole mesh.
@@ -62,6 +59,10 @@ type MeshConfig struct {
 	VCDepth       int // flit buffer depth per VC (Table I: 4)
 }
 
+// maxSlots is the widest router the occupancy mask covers: one bit per
+// input (direction, VC) pair.
+const maxSlots = 64
+
 // Validate reports configuration errors.
 func (c MeshConfig) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
@@ -69,6 +70,9 @@ func (c MeshConfig) Validate() error {
 	}
 	if c.VCs <= 0 || c.VCDepth <= 0 {
 		return fmt.Errorf("noc: VCs=%d depth=%d must be positive", c.VCs, c.VCDepth)
+	}
+	if NumDirs*c.VCs > maxSlots {
+		return fmt.Errorf("noc: %d ports x %d VCs exceeds %d input slots per router", NumDirs, c.VCs, maxSlots)
 	}
 	return nil
 }
@@ -80,17 +84,28 @@ func (c MeshConfig) Validate() error {
 // XY routing plus guaranteed ejection (unbounded eject queues drained by
 // the owner) makes the network provably deadlock-free, the same argument
 // the paper invokes for L-NUCA's acyclic networks.
+//
+// A Step costs work proportional to the flits in the network: routers
+// whose occupancy mask is empty are skipped, and a busy router visits
+// only its occupied input slots.
 type Mesh struct {
 	cfg     MeshConfig
-	routers []*router
+	routers []router
+	// slots is NumDirs*VCs; full masks a router's occupancy to it.
+	slots int
+	full  uint64
+	// rrNext rotates switch-allocation priority for fairness. Every
+	// router rotates in lockstep, so one counter serves them all.
+	rrNext int
 
-	// injectQ holds messages not yet converted to flits, per node.
-	injectQ [][]*Message
+	// injectQ holds messages not yet converted to flits, per node;
+	// staging counts the non-empty queues.
+	injectQ []sim.Queue[*Message]
+	staging int
 
-	// Per-Step scratch, hoisted out of the cycle loop so steady-state
-	// stepping allocates nothing.
-	moves    []move
-	takenAll []outTaken
+	// moves is per-Step scratch, hoisted out of the cycle loop so
+	// steady-state stepping allocates nothing.
+	moves []move
 
 	// ejected counts messages delivered but not yet picked up, so Quiet
 	// is O(1).
@@ -103,26 +118,33 @@ type Mesh struct {
 	TotalHops                   uint64
 }
 
-// outTaken tracks which output ports a router granted this cycle.
-type outTaken struct{ taken [NumDirs]bool }
-
 // NewMesh builds a mesh; it panics on invalid configuration (wiring bug).
 func NewMesh(cfg MeshConfig) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Mesh{cfg: cfg}
 	n := cfg.Width * cfg.Height
-	m.routers = make([]*router, n)
-	m.injectQ = make([][]*Message, n)
-	m.takenAll = make([]outTaken, n)
+	slots := NumDirs * cfg.VCs
+	m := &Mesh{
+		cfg:     cfg,
+		routers: make([]router, n),
+		slots:   slots,
+		full:    ^uint64(0) >> (maxSlots - slots),
+		injectQ: make([]sim.Queue[*Message], n),
+	}
 	for i := range m.routers {
-		r := &router{pos: Coord{i % cfg.Width, i / cfg.Width}}
-		for d := 0; d < NumDirs; d++ {
-			r.in[d] = make([]vcState, cfg.VCs)
-			r.owner[d] = make([]outOwner, cfg.VCs)
+		r := &m.routers[i]
+		r.pos = Coord{i % cfg.Width, i / cfg.Width}
+		r.in = make([]vcState, slots)
+		r.owned = make([]bool, slots)
+	}
+	for i := range m.routers {
+		r := &m.routers[i]
+		for d := North; d < Local; d++ {
+			if c := r.pos.Step(d); m.InBounds(c) {
+				r.nbr[d] = m.at(c)
+			}
 		}
-		m.routers[i] = r
 	}
 	return m
 }
@@ -131,7 +153,7 @@ func NewMesh(cfg MeshConfig) *Mesh {
 func (m *Mesh) Config() MeshConfig { return m.cfg }
 
 func (m *Mesh) at(c Coord) *router {
-	return m.routers[c.Y*m.cfg.Width+c.X]
+	return &m.routers[c.Y*m.cfg.Width+c.X]
 }
 
 // InBounds reports whether c is a valid node.
@@ -149,32 +171,17 @@ func (m *Mesh) Inject(msg *Message, now sim.Cycle) bool {
 	if msg.Flits <= 0 {
 		msg.Flits = 1
 	}
-	idx := msg.Src.Y*m.cfg.Width + msg.Src.X
-	if len(m.injectQ[idx]) >= m.cfg.VCDepth {
+	q := &m.injectQ[msg.Src.Y*m.cfg.Width+msg.Src.X]
+	if q.Len() >= m.cfg.VCDepth {
 		return false
 	}
+	if q.Len() == 0 {
+		m.staging++
+	}
 	msg.Injected = now
-	m.injectQ[idx] = append(m.injectQ[idx], msg)
+	q.Push(msg)
 	m.MsgsInjected++
 	return true
-}
-
-// Eject drains delivered messages at node c. It allocates a fresh
-// slice; cycle-loop callers should drain with EjectOne instead.
-func (m *Mesh) Eject(c Coord) []*Message {
-	r := m.at(c)
-	if r.ejectQ.Len() == 0 {
-		return nil
-	}
-	out := make([]*Message, 0, r.ejectQ.Len())
-	for {
-		msg, ok := r.ejectQ.Pop()
-		if !ok {
-			return out
-		}
-		m.ejected--
-		out = append(out, msg)
-	}
 }
 
 // EjectOne pops a single delivered message at node c, if any. The
@@ -187,102 +194,79 @@ func (m *Mesh) EjectOne(c Coord) (*Message, bool) {
 	return msg, ok
 }
 
+// Ejected returns the number of delivered messages not yet picked up
+// with EjectOne, over all nodes.
+func (m *Mesh) Ejected() int { return m.ejected }
+
 // move is a staged flit transfer computed during the allocation pass and
 // applied afterwards, giving single-cycle-per-hop semantics without
 // order dependence between routers.
 type move struct {
 	from     *router
-	fromDir  Dir
-	fromVC   int
+	fromSlot int
 	to       *router // nil for ejection
-	toDir    Dir
-	toVC     int
-	f        flit
-	lastFlit bool
+	toSlot   int
 }
 
 // Step advances the mesh by one cycle.
 func (m *Mesh) Step(now sim.Cycle) {
-	// Stage injections: convert one message per node per cycle into flits
-	// on a free Local input VC.
-	for idx, q := range m.injectQ {
-		if len(q) == 0 {
-			continue
-		}
-		r := m.routers[idx]
-		for vc := 0; vc < m.cfg.VCs; vc++ {
-			st := &r.in[Local][vc]
-			if len(st.buf) == 0 && !st.routed {
-				msg := q[0]
-				m.injectQ[idx] = q[1:]
-				for i := 0; i < msg.Flits; i++ {
-					st.buf = append(st.buf, flit{
-						msg:  msg,
-						head: i == 0,
-						tail: i == msg.Flits-1,
-					})
-				}
-				break
-			}
-		}
+	if m.staging > 0 {
+		m.stage()
 	}
 
 	// Allocation pass: each router picks at most one flit per output
-	// direction, reading only current buffer state. The staging slices
-	// live on the Mesh and are reset here, not reallocated.
+	// direction, reading only current buffer state.
 	moves := m.moves[:0]
-	takenAll := m.takenAll
-	for i := range takenAll {
-		takenAll[i] = outTaken{}
-	}
-
-	for ri, r := range m.routers {
-		// Round-robin over input (dir, vc) pairs for fairness.
-		total := NumDirs * m.cfg.VCs
-		for k := 0; k < total; k++ {
-			slot := (r.rrNext + k) % total
-			inDir := Dir(slot / m.cfg.VCs)
-			inVC := slot % m.cfg.VCs
-			st := &r.in[inDir][inVC]
-			if len(st.buf) == 0 {
-				continue
+	vcs, rr := m.cfg.VCs, m.rrNext
+	for ri := range m.routers {
+		r := &m.routers[ri]
+		if r.occ == 0 {
+			continue
+		}
+		var taken [NumDirs]bool
+		// Round-robin over input slots for fairness: rotate the mask so
+		// bit k is slot rrNext+k (mod slots), then walk its set bits.
+		// Go defines a shift by 64 as 0, so rrNext == 0 needs no case.
+		pending := (r.occ>>rr | r.occ<<(m.slots-rr)) & m.full
+		for pending != 0 {
+			slot := rr + bits.TrailingZeros64(pending)
+			pending &= pending - 1
+			if slot >= m.slots {
+				slot -= m.slots
 			}
-			f := st.buf[0]
-			// Route computation on head flit.
-			if f.head && !st.routed {
+			st := &r.in[slot]
+			// Route computation on head flit. A routed VC's front flit
+			// is not read until it moves.
+			if !st.routed {
+				f := st.buf[0]
+				if !f.head {
+					continue // body flit of a stream whose head is gone: impossible, but safe
+				}
 				st.outDir = XYRoute(r.pos, f.msg.Dst)
 				st.outVC = -1
 				st.routed = true
 			}
-			if !st.routed {
-				continue // body flit of a stream whose head is gone: impossible, but safe
-			}
 			out := st.outDir
-			if takenAll[ri].taken[out] {
+			if taken[out] {
 				continue // output port already granted this cycle
 			}
 			if out == Local {
 				// Ejection consumes the flit immediately (guaranteed
 				// consumption keeps the network deadlock-free).
-				moves = append(moves, move{
-					from: r, fromDir: inDir, fromVC: inVC,
-					to: nil, f: f, lastFlit: f.tail,
-				})
-				takenAll[ri].taken[out] = true
+				moves = append(moves, move{from: r, fromSlot: slot})
+				taken[out] = true
 				continue
 			}
-			next := m.at(r.pos.Step(out))
-			inPortAtNext := out.Opposite()
+			next := r.nbr[out]
+			base := int(out.Opposite()) * vcs
 			// Virtual-channel allocation on head flits.
 			if st.outVC < 0 {
-				for vc := 0; vc < m.cfg.VCs; vc++ {
-					own := &next.in[inPortAtNext][vc]
-					owner := &r.owner[out][vc]
-					if !owner.active && len(own.buf) == 0 && !own.routed {
+				owned := r.owned[int(out)*vcs:][:vcs]
+				for vc := range owned {
+					own := &next.in[base+vc]
+					if !owned[vc] && len(own.buf) == 0 && !own.routed {
 						st.outVC = vc
-						owner.active = true
-						owner.inDir = inDir
-						owner.inVC = inVC
+						owned[vc] = true
 						break
 					}
 				}
@@ -292,45 +276,50 @@ func (m *Mesh) Step(now sim.Cycle) {
 			}
 			// Buffer space check (credit-equivalent, conservative: flits
 			// leaving downstream this cycle do not free space until next).
-			dstBuf := &next.in[inPortAtNext][st.outVC]
-			if len(dstBuf.buf) >= m.cfg.VCDepth {
+			toSlot := base + st.outVC
+			if len(next.in[toSlot].buf) >= m.cfg.VCDepth {
 				continue
 			}
-			moves = append(moves, move{
-				from: r, fromDir: inDir, fromVC: inVC,
-				to: next, toDir: inPortAtNext, toVC: st.outVC,
-				f: f, lastFlit: f.tail,
-			})
-			takenAll[ri].taken[out] = true
+			moves = append(moves, move{from: r, fromSlot: slot, to: next, toSlot: toSlot})
+			taken[out] = true
 		}
-		r.rrNext = (r.rrNext + 1) % total
+	}
+	if m.rrNext++; m.rrNext == m.slots {
+		m.rrNext = 0
 	}
 
-	// Apply pass.
+	// Apply pass. A buffer can lose its front flit and gain a new last
+	// flit in the same pass; the occupancy bit tracks the final length
+	// either way round, and the front flit is the one allocated.
 	for _, mv := range moves {
-		src := &mv.from.in[mv.fromDir][mv.fromVC]
+		src := &mv.from.in[mv.fromSlot]
+		f := src.buf[0]
 		copy(src.buf, src.buf[1:])
 		src.buf = src.buf[:len(src.buf)-1]
+		if len(src.buf) == 0 {
+			mv.from.occ &^= 1 << mv.fromSlot
+		}
 		m.FlitHops++
 		if mv.to == nil {
 			// Ejection.
-			if mv.f.tail {
-				mv.f.msg.Delivered = now
+			if f.tail {
+				f.msg.Delivered = now
 				m.MsgsDelivered++
-				lat := uint64(now - mv.f.msg.Injected)
+				lat := uint64(now - f.msg.Injected)
 				m.TotalLatency += lat
-				m.TotalHops += uint64(Manhattan(mv.f.msg.Src, mv.f.msg.Dst))
-				m.at(mv.f.msg.Dst).ejectQ.Push(mv.f.msg)
+				m.TotalHops += uint64(Manhattan(f.msg.Src, f.msg.Dst))
+				mv.from.ejectQ.Push(f.msg)
 				m.ejected++
 			}
 		} else {
-			dst := &mv.to.in[mv.toDir][mv.toVC]
-			dst.buf = append(dst.buf, mv.f)
+			dst := &mv.to.in[mv.toSlot]
+			dst.buf = append(dst.buf, f)
+			mv.to.occ |= 1 << mv.toSlot
 		}
-		if mv.lastFlit {
+		if f.tail {
 			// Tail passed: release the wormhole reservations.
 			if src.routed && src.outDir != Local && src.outVC >= 0 {
-				mv.from.owner[src.outDir][src.outVC] = outOwner{}
+				mv.from.owned[int(src.outDir)*vcs+src.outVC] = false
 			}
 			src.routed = false
 			src.outVC = 0
@@ -338,6 +327,37 @@ func (m *Mesh) Step(now sim.Cycle) {
 		}
 	}
 	m.moves = moves[:0]
+}
+
+// stage converts one queued message per node into flits on the node's
+// first free Local input VC.
+func (m *Mesh) stage() {
+	base := int(Local) * m.cfg.VCs
+	for idx := range m.injectQ {
+		q := &m.injectQ[idx]
+		if q.Len() == 0 {
+			continue
+		}
+		r := &m.routers[idx]
+		for slot := base; slot < m.slots; slot++ {
+			st := &r.in[slot]
+			if len(st.buf) == 0 && !st.routed {
+				msg, _ := q.Pop()
+				if q.Len() == 0 {
+					m.staging--
+				}
+				for i := 0; i < msg.Flits; i++ {
+					st.buf = append(st.buf, flit{
+						msg:  msg,
+						head: i == 0,
+						tail: i == msg.Flits-1,
+					})
+				}
+				r.occ |= 1 << slot
+				break
+			}
+		}
+	}
 }
 
 // Quiet reports whether the mesh holds no traffic at all: nothing
@@ -348,14 +368,11 @@ func (m *Mesh) Quiet() bool {
 	return m.InFlight() == 0 && m.ejected == 0
 }
 
-// SkipIdle advances every router's round-robin pointer by delta cycles,
-// exactly what delta no-op Steps of a Quiet mesh would have done. The
-// owner of the mesh calls it when it fast-forwards the clock.
+// SkipIdle advances the round-robin pointer by delta cycles, exactly
+// what delta no-op Steps of a Quiet mesh would have done. The owner of
+// the mesh calls it when it fast-forwards the clock.
 func (m *Mesh) SkipIdle(delta uint64) {
-	total := NumDirs * m.cfg.VCs
-	for _, r := range m.routers {
-		r.rrNext = (r.rrNext + int(delta%uint64(total))) % total
-	}
+	m.rrNext = int((uint64(m.rrNext) + delta) % uint64(m.slots))
 }
 
 // InFlight returns the number of injected-but-undelivered messages.

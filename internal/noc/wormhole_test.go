@@ -11,20 +11,39 @@ func dnucaMesh() *Mesh {
 	return NewMesh(MeshConfig{Width: 8, Height: 4, VCs: 4, VCDepth: 4})
 }
 
+// drain pops every delivered message at node c and returns how many.
+func drain(m *Mesh, c Coord) int {
+	n := 0
+	for {
+		if _, ok := m.EjectOne(c); !ok {
+			return n
+		}
+		n++
+	}
+}
+
 func TestMeshConfigValidate(t *testing.T) {
 	bad := []MeshConfig{
 		{Width: 0, Height: 4, VCs: 4, VCDepth: 4},
 		{Width: 8, Height: 0, VCs: 4, VCDepth: 4},
 		{Width: 8, Height: 4, VCs: 0, VCDepth: 4},
 		{Width: 8, Height: 4, VCs: 4, VCDepth: 0},
+		{Width: 8, Height: 4, VCs: -1, VCDepth: 4},
+		// 5 ports x 13 VCs = 65 input slots: wider than the occupancy mask.
+		{Width: 8, Height: 4, VCs: 13, VCDepth: 4},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("invalid config accepted: %+v", c)
 		}
 	}
-	if err := (MeshConfig{Width: 2, Height: 2, VCs: 1, VCDepth: 1}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, c := range []MeshConfig{
+		{Width: 2, Height: 2, VCs: 1, VCDepth: 1},
+		{Width: 8, Height: 5, VCs: 12, VCDepth: 4}, // 60 slots, the widest below the mask limit
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", c, err)
+		}
 	}
 }
 
@@ -99,7 +118,7 @@ func TestMeshAllMessagesDelivered(t *testing.T) {
 		m.Step(now)
 		for x := 0; x < 8; x++ {
 			for y := 0; y < 4; y++ {
-				delivered += len(m.Eject(Coord{x, y}))
+				delivered += drain(m, Coord{x, y})
 			}
 		}
 	}
@@ -135,7 +154,7 @@ func TestMeshHeavyContentionSingleSink(t *testing.T) {
 			queued = queued[1:]
 		}
 		m.Step(now)
-		got += len(m.Eject(sink))
+		got += drain(m, sink)
 	}
 	if got != want {
 		t.Fatalf("delivered %d of %d under contention", got, want)
@@ -149,7 +168,7 @@ func TestMeshContentionIncreasesLatency(t *testing.T) {
 	solo.Inject(msg, 0)
 	for now := sim.Cycle(0); now < 200 && solo.MsgsDelivered == 0; now++ {
 		solo.Step(now)
-		solo.Eject(Coord{7, 0})
+		drain(solo, Coord{7, 0})
 	}
 	soloLat := solo.TotalLatency
 
@@ -162,7 +181,7 @@ func TestMeshContentionIncreasesLatency(t *testing.T) {
 	busy.Inject(probe, 0)
 	for now := sim.Cycle(0); now < 5000 && probe.Delivered == 0; now++ {
 		busy.Step(now)
-		busy.Eject(Coord{7, 0})
+		drain(busy, Coord{7, 0})
 	}
 	if probe.Delivered == 0 {
 		t.Fatal("probe never delivered under load")
